@@ -227,6 +227,128 @@ int run_fleet(const Options& options, const ScenarioSpec& spec) {
   return 0;
 }
 
+/// One household of the resolved spec through the legacy Simulator path:
+/// optional pre-trained weights, training, evaluation, trace/weight export.
+int run_single(const Options& options, const ScenarioSpec& spec) {
+  Scenario scenario = build_scenario(spec);
+  Simulator& sim = scenario.simulator;
+  const TouSchedule& prices = sim.prices();
+  BlhPolicy& policy = *scenario.policy;
+
+  if (!options.trace_in.empty()) {
+    std::printf("replaying %zu day(s) from %s\n",
+                dynamic_cast<CsvTraceSource&>(sim.source()).day_count(),
+                options.trace_in.c_str());
+  }
+  if (!options.load_weights.empty()) {
+    auto* rl = scenario.policy_as<RlBlhPolicy>();
+    if (rl == nullptr) {
+      std::fprintf(stderr, "--load-weights needs the rlblh policy\n");
+      return 2;
+    }
+    rl->q() = load_weights_file(options.load_weights);
+    std::printf("loaded weights from %s\n", options.load_weights.c_str());
+  }
+  std::printf("policy %s | plan %s | battery %.1f kWh | n_D %zu\n",
+              std::string(policy.name()).c_str(), spec.pricing.c_str(),
+              spec.battery_kwh, spec.nd);
+
+  if (options.check_invariants) {
+    // Pulse-shaped policies get the full Section II/III-B suite; the
+    // non-pulse baselines (and passthrough) get the bound and accounting
+    // checks only. The simulator then fails fast on the first bad day.
+    const bool pulse_shaped = pulse_shaped_policy(spec.policy);
+    InvariantCheckConfig check;
+    check.battery_capacity = spec.battery_kwh;
+    check.usage_cap = pulse_shaped ? kDefaultUsageCap : 0.0;
+    check.decision_interval = pulse_shaped ? spec.nd : 0;
+    check.expect_feasible = pulse_shaped;
+    sim.enable_invariant_checks(check);
+    std::printf("invariant checks: on (%s profile)\n",
+                pulse_shaped ? "pulse" : "bounds-only");
+  }
+
+  pretrain_if_needed(spec, prices, policy);
+  if (spec.train_days > 0) {
+    RLBLH_OBS_SPAN("cli.train");
+    sim.run_days(policy, spec.train_days);
+    std::printf("trained %zu day(s)\n", spec.train_days);
+  }
+
+  EvaluationConfig eval;
+  eval.train_days = 0;
+  eval.eval_days = spec.eval_days;
+  eval.mi_levels = spec.mi_levels;
+  const EvaluationResult r = [&] {
+    RLBLH_OBS_SPAN("cli.evaluate");
+    return evaluate_policy(sim, policy, eval);
+  }();
+  std::printf("over %zu evaluation day(s):\n", spec.eval_days);
+  std::printf("  saving ratio : %6.2f %%\n", 100.0 * r.saving_ratio);
+  std::printf("  daily savings: %6.2f cents (bill %.1f of %.1f)\n",
+              r.mean_daily_savings_cents, r.mean_daily_bill_cents,
+              r.mean_daily_usage_cost_cents);
+  std::printf("  CC           : %7.4f\n", r.mean_cc);
+  std::printf("  MI           : %7.4f\n", r.normalized_mi);
+  std::printf("  violations   : %zu\n", r.battery_violations);
+
+  if (!options.trace_out.empty()) {
+    const DayResult day = sim.run_day(policy);
+    CsvTable table;
+    table.header = {"n", "rate", "usage_kwh", "reading_kwh", "battery_kwh"};
+    for (std::size_t n = 0; n < day.usage.intervals(); ++n) {
+      table.rows.push_back({static_cast<double>(n), prices.rate(n),
+                            day.usage.at(n), day.readings.at(n),
+                            day.battery_levels[n]});
+    }
+    write_csv_file(options.trace_out, table);
+    std::printf("wrote one day of traces to %s\n",
+                options.trace_out.c_str());
+  }
+
+  if (!options.save_weights.empty()) {
+    auto* rl = scenario.policy_as<RlBlhPolicy>();
+    if (rl == nullptr) {
+      std::fprintf(stderr, "--save-weights needs the rlblh policy\n");
+      return 2;
+    }
+    save_weights_file(options.save_weights, rl->q());
+    std::printf("saved weights to %s\n", options.save_weights.c_str());
+  }
+
+  return 0;
+}
+
+/// Writes the run manifest (--obs / --obs-out) for either run shape.
+int write_run_manifest(const Options& options, const ScenarioSpec& spec,
+                       int argc, char** argv) {
+  obs::RunInfo info;
+  info.name = "simulate_cli";
+  info.command.assign(argv, argv + argc);
+  info.config = {
+      {"policy", spec.policy},
+      {"household", spec.household},
+      {"plan", spec.pricing},
+      {"battery_kwh", std::to_string(spec.battery_kwh)},
+      {"nd", std::to_string(spec.nd)},
+      {"seed", std::to_string(spec.seed)},
+      {"train_days", std::to_string(spec.train_days)},
+      {"eval_days", std::to_string(spec.eval_days)},
+      {"scenario", spec.canonical()},
+  };
+  if (options.fleet > 0) {
+    info.config.emplace_back("fleet", std::to_string(options.fleet));
+    info.config.emplace_back("threads", std::to_string(options.threads));
+  }
+  const std::string path = options.obs_out.empty()
+                               ? obs::default_manifest_path(info.name)
+                               : options.obs_out;
+  if (!obs::write_manifest_file(path, info)) return 1;
+  std::printf("wrote run manifest to %s\n", path.c_str());
+  obs::dump_all(std::cout);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -257,116 +379,11 @@ int main(int argc, char** argv) {
                              "--load/save-weights and --check-invariants\n");
         return 2;
       }
-      return run_fleet(options, spec);
     }
-    Scenario scenario = build_scenario(spec);
-    Simulator& sim = scenario.simulator;
-    const TouSchedule& prices = sim.prices();
-    BlhPolicy& policy = *scenario.policy;
-
-    if (!options.trace_in.empty()) {
-      std::printf("replaying %zu day(s) from %s\n",
-                  dynamic_cast<CsvTraceSource&>(sim.source()).day_count(),
-                  options.trace_in.c_str());
-    }
-    if (!options.load_weights.empty()) {
-      auto* rl = scenario.policy_as<RlBlhPolicy>();
-      if (rl == nullptr) {
-        std::fprintf(stderr, "--load-weights needs the rlblh policy\n");
-        return 2;
-      }
-      rl->q() = load_weights_file(options.load_weights);
-      std::printf("loaded weights from %s\n", options.load_weights.c_str());
-    }
-    std::printf("policy %s | plan %s | battery %.1f kWh | n_D %zu\n",
-                std::string(policy.name()).c_str(), spec.pricing.c_str(),
-                spec.battery_kwh, spec.nd);
-
-    if (options.check_invariants) {
-      // Pulse-shaped policies get the full Section II/III-B suite; the
-      // non-pulse baselines (and passthrough) get the bound and accounting
-      // checks only. The simulator then fails fast on the first bad day.
-      const bool pulse_shaped = pulse_shaped_policy(spec.policy);
-      InvariantCheckConfig check;
-      check.battery_capacity = spec.battery_kwh;
-      check.usage_cap = pulse_shaped ? kDefaultUsageCap : 0.0;
-      check.decision_interval = pulse_shaped ? spec.nd : 0;
-      check.expect_feasible = pulse_shaped;
-      sim.enable_invariant_checks(check);
-      std::printf("invariant checks: on (%s profile)\n",
-                  pulse_shaped ? "pulse" : "bounds-only");
-    }
-
-    pretrain_if_needed(spec, prices, policy);
-    if (spec.train_days > 0) {
-      RLBLH_OBS_SPAN("cli.train");
-      sim.run_days(policy, spec.train_days);
-      std::printf("trained %zu day(s)\n", spec.train_days);
-    }
-
-    EvaluationConfig eval;
-    eval.train_days = 0;
-    eval.eval_days = spec.eval_days;
-    eval.mi_levels = spec.mi_levels;
-    const EvaluationResult r = [&] {
-      RLBLH_OBS_SPAN("cli.evaluate");
-      return evaluate_policy(sim, policy, eval);
-    }();
-    std::printf("over %zu evaluation day(s):\n", spec.eval_days);
-    std::printf("  saving ratio : %6.2f %%\n", 100.0 * r.saving_ratio);
-    std::printf("  daily savings: %6.2f cents (bill %.1f of %.1f)\n",
-                r.mean_daily_savings_cents, r.mean_daily_bill_cents,
-                r.mean_daily_usage_cost_cents);
-    std::printf("  CC           : %7.4f\n", r.mean_cc);
-    std::printf("  MI           : %7.4f\n", r.normalized_mi);
-    std::printf("  violations   : %zu\n", r.battery_violations);
-
-    if (!options.trace_out.empty()) {
-      const DayResult day = sim.run_day(policy);
-      CsvTable table;
-      table.header = {"n", "rate", "usage_kwh", "reading_kwh", "battery_kwh"};
-      for (std::size_t n = 0; n < day.usage.intervals(); ++n) {
-        table.rows.push_back({static_cast<double>(n), prices.rate(n),
-                              day.usage.at(n), day.readings.at(n),
-                              day.battery_levels[n]});
-      }
-      write_csv_file(options.trace_out, table);
-      std::printf("wrote one day of traces to %s\n",
-                  options.trace_out.c_str());
-    }
-
-    if (!options.save_weights.empty()) {
-      auto* rl = scenario.policy_as<RlBlhPolicy>();
-      if (rl == nullptr) {
-        std::fprintf(stderr, "--save-weights needs the rlblh policy\n");
-        return 2;
-      }
-      save_weights_file(options.save_weights, rl->q());
-      std::printf("saved weights to %s\n", options.save_weights.c_str());
-    }
-
-    if (options.obs) {
-      obs::RunInfo info;
-      info.name = "simulate_cli";
-      info.command.assign(argv, argv + argc);
-      info.config = {
-          {"policy", spec.policy},
-          {"household", spec.household},
-          {"plan", spec.pricing},
-          {"battery_kwh", std::to_string(spec.battery_kwh)},
-          {"nd", std::to_string(spec.nd)},
-          {"seed", std::to_string(spec.seed)},
-          {"train_days", std::to_string(spec.train_days)},
-          {"eval_days", std::to_string(spec.eval_days)},
-          {"scenario", spec.canonical()},
-      };
-      const std::string path = options.obs_out.empty()
-                                   ? obs::default_manifest_path(info.name)
-                                   : options.obs_out;
-      if (!obs::write_manifest_file(path, info)) return 1;
-      std::printf("wrote run manifest to %s\n", path.c_str());
-      obs::dump_all(std::cout);
-    }
+    const int status = options.fleet > 0 ? run_fleet(options, spec)
+                                         : run_single(options, spec);
+    if (status != 0 || !options.obs) return status;
+    return write_run_manifest(options, spec, argc, argv);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

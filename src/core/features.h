@@ -19,6 +19,7 @@
 // ablation bench).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -32,6 +33,9 @@ class FeatureBasis {
   /// Number of features.
   static constexpr std::size_t kDim = 6;
 
+  /// One feature vector.
+  using Vector = std::array<double, kDim>;
+
   /// `decisions_per_day` is k_M (>= 1); `battery_capacity` is b_M (> 0).
   FeatureBasis(std::size_t decisions_per_day, double battery_capacity)
       : k_max_(decisions_per_day), capacity_(battery_capacity) {
@@ -43,7 +47,17 @@ class FeatureBasis {
 
   /// Feature vector at decision index k (0-based, k <= k_M so that the
   /// terminal state can also be featurized) and battery level in kWh.
-  std::array<double, kDim> at(std::size_t k, double battery_level) const;
+  /// Inline: the replay loop evaluates it once per decision.
+  Vector at(std::size_t k, double battery_level) const {
+    RLBLH_REQUIRE(k <= k_max_, "FeatureBasis: decision index out of range");
+    const double kk = static_cast<double>(k) / static_cast<double>(k_max_);
+    const double bb = std::clamp(battery_level / capacity_, 0.0, 1.0);
+    const double p1k = 2.0 * kk - 1.0;
+    const double p1b = 2.0 * bb - 1.0;
+    const double p2k = 6.0 * kk * kk - 6.0 * kk + 1.0;
+    const double p2b = 6.0 * bb * bb - 6.0 * bb + 1.0;
+    return {1.0, p1k, p1b, p1k * p1b, p2k, p2b};
+  }
 
   /// k_M used for normalization.
   std::size_t decisions_per_day() const { return k_max_; }

@@ -13,13 +13,6 @@ PerActionLinearQ::PerActionLinearQ(std::size_t num_actions,
   }
 }
 
-double PerActionLinearQ::value(std::span<const double> features,
-                               std::size_t a) const {
-  RLBLH_REQUIRE(a < functions_.size(),
-                "PerActionLinearQ: action index out of range");
-  return functions_[a].value(features);
-}
-
 std::size_t PerActionLinearQ::argmax(
     std::span<const double> features,
     const std::vector<std::size_t>& allowed) const {
@@ -40,14 +33,6 @@ double PerActionLinearQ::max_value(
     std::span<const double> features,
     const std::vector<std::size_t>& allowed) const {
   return value(features, argmax(features, allowed));
-}
-
-void PerActionLinearQ::sgd_update(std::size_t a,
-                                  std::span<const double> features,
-                                  double error, double step) {
-  RLBLH_REQUIRE(a < functions_.size(),
-                "PerActionLinearQ: action index out of range");
-  functions_[a].sgd_update(features, error, step);
 }
 
 const LinearFunction& PerActionLinearQ::function(std::size_t a) const {

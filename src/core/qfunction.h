@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "rl/linear.h"
+#include "util/error.h"
 
 namespace rlblh {
 
@@ -26,7 +27,11 @@ class PerActionLinearQ {
   std::size_t dimension() const { return functions_.front().dimension(); }
 
   /// Q value of action a at the given features.
-  double value(std::span<const double> features, std::size_t a) const;
+  double value(std::span<const double> features, std::size_t a) const {
+    RLBLH_REQUIRE(a < functions_.size(),
+                  "PerActionLinearQ: action index out of range");
+    return functions_[a].value(features);
+  }
 
   /// Action with the largest Q value among `allowed` (nonempty; ties break
   /// toward the earlier entry).
@@ -39,7 +44,11 @@ class PerActionLinearQ {
 
   /// SGD step on action a's weights: w += step * error * features (Eq. 18).
   void sgd_update(std::size_t a, std::span<const double> features,
-                  double error, double step);
+                  double error, double step) {
+    RLBLH_REQUIRE(a < functions_.size(),
+                  "PerActionLinearQ: action index out of range");
+    functions_[a].sgd_update(features, error, step);
+  }
 
   /// Total number of learned parameters (a_M * 6 = 40-48 in the paper's
   /// complexity discussion).

@@ -44,10 +44,18 @@ RlBlhPolicy::RlBlhPolicy(RlBlhConfig config)
       stats_(config_.intervals_per_day, config_.usage_cap, config_.stats_bins,
              config_.stats_reservoir),
       rng_(config_.seed),
+      magnitudes_(config_.num_actions),
+      high_guard_(config_.high_guard()),
+      low_guard_(config_.low_guard()),
       actions_all_(config_.num_actions),
       actions_zero_only_{0},
-      actions_max_only_{config_.num_actions - 1} {
-  for (std::size_t a = 0; a < actions_all_.size(); ++a) actions_all_[a] = a;
+      actions_max_only_{config_.num_actions - 1},
+      values_{std::vector<double>(config_.num_actions),
+              std::vector<double>(config_.num_actions)} {
+  for (std::size_t a = 0; a < actions_all_.size(); ++a) {
+    actions_all_[a] = a;
+    magnitudes_[a] = config_.action_magnitude(a);
+  }
   day_stats_.reserve(256);
 }
 
@@ -71,26 +79,39 @@ const std::vector<std::size_t>& RlBlhPolicy::allowed_actions(
   // safe (the battery could otherwise overflow if usage stays at zero);
   // below the low guard only the full pulse is safe (usage could stay at
   // x_M and drain the battery).
-  if (battery_level > config_.high_guard()) {
+  if (battery_level > high_guard_) {
     return actions_zero_only_;
   }
-  if (battery_level < config_.low_guard()) {
+  if (battery_level < low_guard_) {
     return actions_max_only_;
   }
   return actions_all_;
 }
 
-std::size_t RlBlhPolicy::acting_argmax(
-    std::span<const double> features,
+void RlBlhPolicy::evaluate_actions(const Features& features) {
+  const std::size_t tables = config_.double_q ? 2 : 1;
+  for (std::size_t t = 0; t < tables; ++t) {
+    const PerActionLinearQ& q = table(t);
+    std::vector<double>& values = values_[t];
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      values[a] = q.value(features, a);
+    }
+  }
+}
+
+std::size_t RlBlhPolicy::greedy_action(
     const std::vector<std::size_t>& allowed) const {
-  if (!config_.double_q) return q_.argmax(features, allowed);
-  // Act on the mean of the two tables (standard double-Q practice).
+  // Under double-Q act on the mean of the two tables (standard double-Q
+  // practice); the sum orders actions identically.
+  const bool both = config_.double_q;
+  const auto score = [&](std::size_t a) {
+    return both ? values_[0][a] + values_[1][a] : values_[0][a];
+  };
   RLBLH_ASSERT(!allowed.empty());
   std::size_t best = allowed.front();
-  double best_value = q_.value(features, best) + q2_.value(features, best);
+  double best_value = score(best);
   for (std::size_t i = 1; i < allowed.size(); ++i) {
-    const double v = q_.value(features, allowed[i]) +
-                     q2_.value(features, allowed[i]);
+    const double v = score(allowed[i]);
     if (v > best_value) {
       best_value = v;
       best = allowed[i];
@@ -99,44 +120,50 @@ std::size_t RlBlhPolicy::acting_argmax(
   return best;
 }
 
-double RlBlhPolicy::bootstrap_value(std::span<const double> features,
-                                    const std::vector<std::size_t>& allowed,
-                                    bool use_first) const {
-  if (!config_.double_q) return q_.max_value(features, allowed);
-  // Select the successor action with the table being updated, evaluate it
-  // with the other one: decorrelates selection and evaluation noise.
-  const PerActionLinearQ& selector = use_first ? q_ : q2_;
-  const PerActionLinearQ& evaluator = use_first ? q2_ : q_;
-  return evaluator.value(features, selector.argmax(features, allowed));
+std::size_t RlBlhPolicy::draw_learner() {
+  return config_.double_q && !rng_.bernoulli(0.5) ? 1 : 0;
 }
 
-std::size_t RlBlhPolicy::choose_action(std::size_t k, double battery_level,
-                                       double epsilon_now) {
-  const auto& allowed = allowed_actions(battery_level);
-  const auto features = basis_.at(k, battery_level);
-  const std::size_t greedy = acting_argmax(features, allowed);
-  const std::size_t chosen =
-      epsilon_greedy(allowed, greedy, epsilon_now, rng_);
-  pending_explored_ = chosen != greedy;
-  return chosen;
-}
-
-void RlBlhPolicy::finalize_pending(std::size_t next_k, double next_level,
-                                   bool terminal, double alpha_now) {
-  RLBLH_ASSERT(pending_active_);
-  const bool use_first = config_.double_q ? rng_.bernoulli(0.5) : true;
-  PerActionLinearQ& learner = use_first ? q_ : q2_;
-  double target = pending_savings_;
-  if (!terminal) {
-    const auto next_features = basis_.at(next_k, next_level);
-    target += bootstrap_value(next_features, allowed_actions(next_level),
-                              use_first);
+double RlBlhPolicy::bootstrap_value(const std::vector<std::size_t>& allowed,
+                                    std::size_t learner) const {
+  // Double-Q selects the successor action with the table being updated and
+  // evaluates it with the other one: decorrelates selection and evaluation
+  // noise. Plain Q selects and evaluates with q_.
+  const std::vector<double>& selector = values_[learner];
+  const std::vector<double>& evaluator =
+      values_[config_.double_q ? 1 - learner : learner];
+  std::size_t best = allowed.front();
+  double best_value = selector[best];
+  for (std::size_t i = 1; i < allowed.size(); ++i) {
+    const double v = selector[allowed[i]];
+    if (v > best_value) {
+      best_value = v;
+      best = allowed[i];
+    }
   }
+  return evaluator[best];
+}
+
+void RlBlhPolicy::learn(std::size_t learner, std::size_t action,
+                        const Features& features, double delta_q,
+                        double alpha_now, const Features* next) {
+  PerActionLinearQ& q = table(learner);
+  q.sgd_update(action, features, delta_q, alpha_now);
+  if (next != nullptr) values_[learner][action] = q.value(*next, action);
+}
+
+void RlBlhPolicy::finalize_pending(const Features* next,
+                                   const std::vector<std::size_t>& next_allowed,
+                                   double alpha_now) {
+  RLBLH_ASSERT(pending_active_);
+  const std::size_t learner = draw_learner();
+  double target = pending_savings_;
+  if (next != nullptr) target += bootstrap_value(next_allowed, learner);
   const double delta_q =
-      target - learner.value(pending_features_, pending_action_);
+      target - table(learner).value(pending_features_, pending_action_);
   if (learning_) {
-    learner.sgd_update(pending_action_, pending_features_, delta_q,
-                       alpha_now);
+    learn(learner, pending_action_, pending_features_, delta_q, alpha_now,
+          next);
   }
   abs_error_sum_ += std::abs(delta_q);
   signed_error_sum_ += delta_q;
@@ -144,6 +171,25 @@ void RlBlhPolicy::finalize_pending(std::size_t next_k, double next_level,
   ++decisions_done_;
   if (pending_explored_) ++explored_count_;
   pending_active_ = false;
+}
+
+double RlBlhPolicy::decide(std::size_t k, double battery_level) {
+  if (k == 0) initial_level_today_ = battery_level;
+  const double alpha_now = current_alpha();
+  const Features features = basis_.at(k, battery_level);
+  const std::vector<std::size_t>& allowed = allowed_actions(battery_level);
+  evaluate_actions(features);
+  if (pending_active_) finalize_pending(&features, allowed, alpha_now);
+  const double epsilon_now = exploration_ ? current_epsilon() : 0.0;
+  const std::size_t greedy = greedy_action(allowed);
+  const std::size_t action =
+      epsilon_greedy(allowed, greedy, epsilon_now, rng_);
+  pending_explored_ = action != greedy;
+  pending_active_ = true;
+  pending_action_ = action;
+  pending_savings_ = 0.0;
+  pending_features_ = features;
+  return magnitudes_[action];
 }
 
 void RlBlhPolicy::begin_day(const TouSchedule& prices) {
@@ -173,31 +219,18 @@ double RlBlhPolicy::reading(std::size_t n, double battery_level) {
   RLBLH_REQUIRE(n < config_.intervals_per_day,
                 "RlBlhPolicy: interval index out of range");
 
-  if (n % config_.decision_interval == 0) {
-    const std::size_t k = n / config_.decision_interval;
-    if (n == 0) initial_level_today_ = battery_level;
-    const double alpha_now = current_alpha();
-    if (pending_active_) {
-      finalize_pending(k, battery_level, /*terminal=*/false, alpha_now);
-    }
-    const double epsilon_now = exploration_ ? current_epsilon() : 0.0;
-    const std::size_t action = choose_action(k, battery_level, epsilon_now);
-    pending_active_ = true;
-    pending_k_ = k;
-    pending_action_ = action;
-    pending_savings_ = 0.0;
-    pending_features_ = basis_.at(k, battery_level);
-  }
+  const double y = n % config_.decision_interval == 0
+                       ? decide(n / config_.decision_interval, battery_level)
+                       : magnitudes_[pending_action_];
   next_reading_n_ = n + 1;
-  return config_.action_magnitude(pending_action_);
+  return y;
 }
 
 double RlBlhPolicy::fill_block(std::size_t n0, std::size_t width,
                                double battery_level) {
-  // One decision boundary per block: replicates the n % n_D == 0 branch of
-  // reading() exactly (same RNG draw order: the finalize's bernoulli under
-  // double-Q, then the epsilon-greedy draw), then advances the interval
-  // cursor past the whole block in one step.
+  // One decision boundary per block: the n % n_D == 0 branch of reading()
+  // (the same decide() call), then the interval cursor advances past the
+  // whole block in one step.
   RLBLH_REQUIRE(day_open_, "RlBlhPolicy: fill_block() before begin_day()");
   RLBLH_REQUIRE(n0 == next_reading_n_ && n0 == next_observe_n_,
                 "RlBlhPolicy: blocks must be requested in interval order");
@@ -206,21 +239,9 @@ double RlBlhPolicy::fill_block(std::size_t n0, std::size_t width,
   const std::size_t k = n0 / config_.decision_interval;
   RLBLH_REQUIRE(width == config_.decision_width(k),
                 "RlBlhPolicy: block width must match the decision width");
-
-  if (n0 == 0) initial_level_today_ = battery_level;
-  const double alpha_now = current_alpha();
-  if (pending_active_) {
-    finalize_pending(k, battery_level, /*terminal=*/false, alpha_now);
-  }
-  const double epsilon_now = exploration_ ? current_epsilon() : 0.0;
-  const std::size_t action = choose_action(k, battery_level, epsilon_now);
-  pending_active_ = true;
-  pending_k_ = k;
-  pending_action_ = action;
-  pending_savings_ = 0.0;
-  pending_features_ = basis_.at(k, battery_level);
+  const double y = decide(k, battery_level);
   next_reading_n_ = n0 + width;
-  return config_.action_magnitude(pending_action_);
+  return y;
 }
 
 void RlBlhPolicy::observe_usage(std::size_t n, double usage) {
@@ -231,8 +252,7 @@ void RlBlhPolicy::observe_usage(std::size_t n, double usage) {
   today_usage_.push_back(usage);
   // S_k(a) accumulation (paper Eq. 7).
   pending_savings_ +=
-      prices_->rate(n) *
-      (usage - config_.action_magnitude(pending_action_));
+      prices_->rate(n) * (usage - magnitudes_[pending_action_]);
   next_observe_n_ = n + 1;
 }
 
@@ -248,7 +268,7 @@ void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   // sequence, so the accumulated sum is bitwise equal). The view may be a
   // strided lane of the batch engine's interval-major day — only the load
   // addresses differ from the contiguous case.
-  const double magnitude = config_.action_magnitude(pending_action_);
+  const double magnitude = magnitudes_[pending_action_];
   const double* const rates = prices_->rates().data();
   const double* const values = usage.data();
   const std::size_t stride = usage.stride();
@@ -273,12 +293,10 @@ void RlBlhPolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
   lane_allowed_.resize(w);
   lane_greedy_.resize(w);
 
-  // Phase 1, per lane: the pre-coin half of fill_block — validation, the
+  // Phase 1, per lane: the pre-coin half of decide() — validation, the
   // pending decision's finalize (its bernoulli under double-Q drawn from
   // the lane's own engine, in its scalar stream position) and the greedy
-  // argmax. The features are evaluated once and stored directly as the
-  // pending features (a pure function of (k, level); the scalar path
-  // computes the identical array twice).
+  // argmax.
   for (std::size_t k = 0; k < w; ++k) {
     auto& lane = static_cast<RlBlhPolicy&>(*lanes[k]);
     const double battery_level = levels[k];
@@ -293,16 +311,16 @@ void RlBlhPolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
                   "RlBlhPolicy: block width must match the decision width");
     if (n0 == 0) lane.initial_level_today_ = battery_level;
     const double alpha_now = lane.current_alpha();
+    const Features features = lane.basis_.at(kk, battery_level);
+    const auto& allowed = lane.allowed_actions(battery_level);
+    lane.evaluate_actions(features);
     if (lane.pending_active_) {
-      lane.finalize_pending(kk, battery_level, /*terminal=*/false, alpha_now);
+      lane.finalize_pending(&features, allowed, alpha_now);
     }
     lane_eps_[k] = lane.exploration_ ? lane.current_epsilon() : 0.0;
-    const auto& allowed = lane.allowed_actions(battery_level);
-    const auto features = lane.basis_.at(kk, battery_level);
     lane_allowed_[k] = &allowed;
-    lane_greedy_[k] = lane.acting_argmax(features, allowed);
+    lane_greedy_[k] = lane.greedy_action(allowed);
     lane.pending_features_ = features;
-    lane.pending_k_ = kk;
     lane_rngs_[k] = &lane.rng_;
   }
 
@@ -326,7 +344,7 @@ void RlBlhPolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
     lane.pending_action_ = chosen;
     lane.pending_savings_ = 0.0;
     lane.next_reading_n_ = n0 + width;
-    y_out[k] = lane.config_.action_magnitude(chosen);
+    y_out[k] = lane.magnitudes_[chosen];
   }
 }
 
@@ -343,7 +361,7 @@ void RlBlhPolicy::end_day() {
   RLBLH_REQUIRE(day_open_, "RlBlhPolicy: end_day() before begin_day()");
   RLBLH_REQUIRE(next_observe_n_ == config_.intervals_per_day,
                 "RlBlhPolicy: day ended before all intervals were observed");
-  finalize_pending(0, 0.0, /*terminal=*/true, current_alpha());
+  finalize_pending(nullptr, actions_all_, current_alpha());
 
   RlBlhDayStats stats;
   stats.mean_abs_td_error =
@@ -393,16 +411,25 @@ void RlBlhPolicy::end_day() {
                ? rng_.uniform(0.0, config_.battery_capacity)
                : initial_level_today_;
   };
+  // The replay timers read the clock only while observability records;
+  // the Rng and the weights never see them.
   if (config_.enable_reuse && d <= config_.reuse_days) {
+    RLBLH_OBS_NOW(reuse_start);
     for (std::size_t v = 0; v < config_.reuse_repeats; ++v) {
       train_virtual_day(today_usage_, replay_start());
     }
+    RLBLH_OBS_COUNT_NS_SINCE("rl.replay.reuse_ns", reuse_start);
   }
   if (config_.enable_synthetic && d % config_.synthetic_period == 0 &&
       d <= config_.synthetic_last_day) {
+    synthetic_day_.resize(config_.intervals_per_day);
     for (std::size_t v = 0; v < config_.synthetic_repeats; ++v) {
-      const DayTrace synthetic = stats_.sample_day(rng_);
-      train_virtual_day(synthetic.values(), replay_start());
+      RLBLH_OBS_NOW(sample_start);
+      stats_.sample_day_into(rng_, synthetic_day_);
+      RLBLH_OBS_COUNT_NS_SINCE("rl.replay.syn_sample_ns", sample_start);
+      RLBLH_OBS_NOW(train_start);
+      train_virtual_day(synthetic_day_, replay_start());
+      RLBLH_OBS_COUNT_NS_SINCE("rl.replay.syn_train_ns", train_start);
     }
   }
 }
@@ -417,45 +444,60 @@ double RlBlhPolicy::train_virtual_day(const std::vector<double>& usage,
   const double epsilon_now = exploration_ ? current_epsilon() : 0.0;
   const std::size_t k_max = config_.decisions_per_day();
   const std::size_t n_d = config_.decision_interval;
+  const std::size_t n_m = config_.intervals_per_day;
+  const double usage_cap = config_.usage_cap;
+  const double capacity = config_.battery_capacity;
+  const double* const rates = prices_->rates().data();
 
-  double level =
-      std::clamp(initial_level, 0.0, config_.battery_capacity);
+  double level = std::clamp(initial_level, 0.0, capacity);
   double abs_error = 0.0;
 
+  // values_ always holds the action values at the current decision state:
+  // evaluated here for k = 0, then carried over from the previous step's
+  // bootstrap (same features, and learn() refreshed the one entry its SGD
+  // step changed), so each action is evaluated once per decision.
+  Features features = basis_.at(0, level);
+  Features next{};
+  const std::vector<std::size_t>* allowed = &allowed_actions(level);
+  evaluate_actions(features);
+
   for (std::size_t k = 0; k < k_max; ++k) {
-    const auto features = basis_.at(k, level);
-    const auto& allowed = allowed_actions(level);
-    const std::size_t greedy = acting_argmax(features, allowed);
+    const std::size_t greedy = greedy_action(*allowed);
     const std::size_t action =
-        epsilon_greedy(allowed, greedy, epsilon_now, rng_);
-    const double magnitude = config_.action_magnitude(action);
+        epsilon_greedy(*allowed, greedy, epsilon_now, rng_);
+    const double magnitude = magnitudes_[action];
 
     double savings = 0.0;
-    const std::size_t width = config_.decision_width(k);
-    for (std::size_t i = 0; i < width; ++i) {
-      const std::size_t n = k * n_d + i;
-      const double x = std::clamp(usage[n], 0.0, config_.usage_cap);
-      savings += prices_->rate(n) * (x - magnitude);
+    const std::size_t end = std::min(k * n_d + n_d, n_m);
+    for (std::size_t n = k * n_d; n < end; ++n) {
+      // Replayed usage can exceed x_M (the observe paths only check
+      // x >= 0), so the clamp stays.
+      const double x = std::clamp(usage[n], 0.0, usage_cap);
+      savings += rates[n] * (x - magnitude);
       level += magnitude - x;
     }
     // The feasibility rule keeps a lossless battery within bounds; clamp
     // defensively so replayed data with out-of-band values cannot corrupt
     // the state normalization.
-    level = std::clamp(level, 0.0, config_.battery_capacity);
+    level = std::clamp(level, 0.0, capacity);
 
-    const bool use_first = config_.double_q ? rng_.bernoulli(0.5) : true;
-    PerActionLinearQ& learner = use_first ? q_ : q2_;
+    const std::size_t learner = draw_learner();
+    const double q_taken = values_[learner][action];
     double target = savings;
-    if (k + 1 < k_max) {
-      const auto next_features = basis_.at(k + 1, level);
-      target += bootstrap_value(next_features, allowed_actions(level),
-                                use_first);
+    const bool last = k + 1 == k_max;
+    if (!last) {
+      next = basis_.at(k + 1, level);
+      allowed = &allowed_actions(level);
+      evaluate_actions(next);
+      target += bootstrap_value(*allowed, learner);
     }
-    const double delta_q = target - learner.value(features, action);
+    const double delta_q = target - q_taken;
     if (learning_) {
-      learner.sgd_update(action, features, delta_q, alpha_now);
+      learn(learner, action, features, delta_q, alpha_now,
+            last ? nullptr : &next);
     }
     abs_error += std::abs(delta_q);
+    features = next;
   }
   if (learning_) ++episodes_;
   RLBLH_OBS_COUNT("rl.virtual_days", 1);

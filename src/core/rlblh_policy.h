@@ -149,25 +149,47 @@ class RlBlhPolicy final : public BlhPolicy {
                            double initial_level);
 
  private:
-  /// Feasibility + epsilon-greedy choice at decision index k.
-  std::size_t choose_action(std::size_t k, double battery_level,
-                            double epsilon_now);
+  using Features = FeatureBasis::Vector;
 
-  /// Q-learning update for the pending decision, given the successor state
-  /// (ignored when terminal). Accumulates the day's error statistics.
-  void finalize_pending(std::size_t next_k, double next_level, bool terminal,
+  /// Decision boundary k of a real day at the given battery level: settles
+  /// the pending decision against this state, then picks the next pulse.
+  /// Returns the pulse magnitude.
+  double decide(std::size_t k, double battery_level);
+
+  /// Q values of every action at `features` into values_: q_ into
+  /// values_[0] and, under double-Q, q2_ into values_[1].
+  void evaluate_actions(const Features& features);
+
+  /// Greedy action over `allowed` from values_: the sum of the two tables
+  /// under double-Q, q_ otherwise (ties break toward the earlier entry).
+  std::size_t greedy_action(const std::vector<std::size_t>& allowed) const;
+
+  /// Table updated by this TD step: a fair coin under double-Q (drawn from
+  /// the policy's Rng), q_ (index 0) otherwise.
+  std::size_t draw_learner();
+
+  /// Bootstrap term max_a' Q(next, a') from values_ (which must hold the
+  /// successor's action values): the action is selected by table `learner`
+  /// and evaluated by the other table under double-Q, by q_ otherwise.
+  double bootstrap_value(const std::vector<std::size_t>& allowed,
+                         std::size_t learner) const;
+
+  /// SGD step (Eq. 18) on `learner`'s weights for `action` at `features`.
+  /// With a successor `next`, re-evaluates the one updated entry of
+  /// values_ at *next: every other entry is a function of weights the step
+  /// did not touch, so values_ stays exact for the next greedy choice.
+  void learn(std::size_t learner, std::size_t action, const Features& features,
+             double delta_q, double alpha_now, const Features* next);
+
+  /// Q-learning update for the pending decision. `next` is the successor
+  /// state, whose action values must be in values_; null ends the day.
+  /// Accumulates the day's error statistics.
+  void finalize_pending(const Features* next,
+                        const std::vector<std::size_t>& next_allowed,
                         double alpha_now);
 
-  /// Greedy action over the acting value function (the mean of the two
-  /// tables under double-Q, plain Q otherwise).
-  std::size_t acting_argmax(std::span<const double> features,
-                            const std::vector<std::size_t>& allowed) const;
-
-  /// Bootstrap target contribution max_a' Q(next) under the configured
-  /// learning rule; `use_first` selects the table updated this step.
-  double bootstrap_value(std::span<const double> features,
-                         const std::vector<std::size_t>& allowed,
-                         bool use_first) const;
+  /// Table t: q_ for 0, q2_ for 1.
+  PerActionLinearQ& table(std::size_t t) { return t == 0 ? q_ : q2_; }
 
   RlBlhConfig config_;
   FeatureBasis basis_;
@@ -176,10 +198,26 @@ class RlBlhPolicy final : public BlhPolicy {
   UsageStatsTracker stats_;
   Rng rng_;
 
+  // Per-policy constants hoisted out of the decision loops: the pulse
+  // magnitude of each action and the Section III-B guard levels.
+  std::vector<double> magnitudes_;
+  double high_guard_;
+  double low_guard_;
+
   // Precomputed feasible-action sets (see allowed_actions()).
   std::vector<std::size_t> actions_all_;
   std::vector<std::size_t> actions_zero_only_;
   std::vector<std::size_t> actions_max_only_;
+
+  // Action values at the current decision state, per table (see
+  // evaluate_actions()). Scratch: recomputed from the weights at every
+  // decision boundary, never checkpointed.
+  std::array<std::vector<double>, 2> values_;
+
+  // SYN scratch: the synthetic day being replayed, sampled in place.
+  // Sized on the first SYN round, so policies that never run one (the
+  // daemon's, with replay off) do not carry it.
+  std::vector<double> synthetic_day_;
 
   bool learning_ = true;
   bool exploration_ = true;
@@ -194,10 +232,9 @@ class RlBlhPolicy final : public BlhPolicy {
 
   // Pending decision (the pulse currently being emitted).
   bool pending_active_ = false;
-  std::size_t pending_k_ = 0;
   std::size_t pending_action_ = 0;
   double pending_savings_ = 0.0;
-  std::array<double, FeatureBasis::kDim> pending_features_{};
+  Features pending_features_{};
   bool pending_explored_ = false;
 
   // Day error accumulation.

@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "util/error.h"
 
@@ -29,13 +30,20 @@ void UsageStatsTracker::observe_day(ConstTraceLane day, Rng& rng) {
 }
 
 DayTrace UsageStatsTracker::sample_day(Rng& rng) const {
+  std::vector<double> values(dists_.size());
+  sample_day_into(rng, values);
+  return DayTrace(std::move(values));
+}
+
+void UsageStatsTracker::sample_day_into(Rng& rng,
+                                        std::span<double> out) const {
   RLBLH_REQUIRE(days_ >= 1,
                 "UsageStatsTracker: cannot sample before observing a day");
-  DayTrace day(dists_.size());
+  RLBLH_REQUIRE(out.size() == dists_.size(),
+                "UsageStatsTracker: day length mismatch");
   for (std::size_t n = 0; n < dists_.size(); ++n) {
-    day.set(n, dists_[n].sample(rng));
+    out[n] = dists_[n].sample(rng);
   }
-  return day;
 }
 
 double UsageStatsTracker::mean_at(std::size_t n) const {

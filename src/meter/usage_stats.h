@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "meter/trace.h"
@@ -37,6 +38,11 @@ class UsageStatsTracker {
   /// Draws a synthetic day: each interval sampled independently from its own
   /// empirical distribution. Requires days_observed() >= 1.
   DayTrace sample_day(Rng& rng) const;
+
+  /// sample_day() into a caller-owned buffer of intervals() values, with
+  /// the same draws in the same order and no allocation (the SYN replay
+  /// loop samples hundreds of days per round into one buffer).
+  void sample_day_into(Rng& rng, std::span<double> out) const;
 
   /// Mean usage at interval n over all observed days.
   double mean_at(std::size_t n) const;

@@ -12,25 +12,6 @@ LinearFunction::LinearFunction(std::vector<double> weights)
   RLBLH_REQUIRE(!weights_.empty(), "LinearFunction: dimension must be >= 1");
 }
 
-double LinearFunction::value(std::span<const double> features) const {
-  RLBLH_REQUIRE(features.size() == weights_.size(),
-                "LinearFunction: feature dimension mismatch");
-  double v = 0.0;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    v += weights_[i] * features[i];
-  }
-  return v;
-}
-
-void LinearFunction::sgd_update(std::span<const double> features, double error,
-                                double step_size) {
-  RLBLH_REQUIRE(features.size() == weights_.size(),
-                "LinearFunction: feature dimension mismatch");
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    weights_[i] += step_size * error * features[i];
-  }
-}
-
 void LinearFunction::set_weights(std::vector<double> weights) {
   RLBLH_REQUIRE(weights.size() == weights_.size(),
                 "LinearFunction: dimension mismatch");

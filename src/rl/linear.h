@@ -25,11 +25,25 @@ class LinearFunction {
   std::size_t dimension() const { return weights_.size(); }
 
   /// Evaluates w . features. The span size must equal dimension().
-  double value(std::span<const double> features) const;
+  double value(std::span<const double> features) const {
+    RLBLH_REQUIRE(features.size() == weights_.size(),
+                  "LinearFunction: feature dimension mismatch");
+    double v = 0.0;
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      v += weights_[i] * features[i];
+    }
+    return v;
+  }
 
   /// Gradient step w += step_size * error * features (paper Eq. 18).
   void sgd_update(std::span<const double> features, double error,
-                  double step_size);
+                  double step_size) {
+    RLBLH_REQUIRE(features.size() == weights_.size(),
+                  "LinearFunction: feature dimension mismatch");
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      weights_[i] += step_size * error * features[i];
+    }
+  }
 
   /// Read access to the weights.
   const std::vector<double>& weights() const { return weights_; }

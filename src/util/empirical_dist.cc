@@ -44,16 +44,17 @@ double EmpiricalDistribution::sample(Rng& rng) const {
     return reservoir_[i];
   }
   // Draw a histogram cell proportionally to its mass, then jitter within it.
+  const std::span<const double> counts = hist_.counts();
   double target = rng.uniform() * hist_.total();
-  std::size_t cell = hist_.bins() - 1;
-  for (std::size_t i = 0; i < hist_.bins(); ++i) {
-    target -= hist_.count(i);
+  std::size_t cell = counts.size() - 1;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    target -= counts[i];
     if (target <= 0.0) {
       cell = i;
       break;
     }
   }
-  const double width = (hist_.hi() - hist_.lo()) / static_cast<double>(hist_.bins());
+  const double width = hist_.width();
   const double left = hist_.lo() + static_cast<double>(cell) * width;
   return left + rng.uniform() * width;
 }

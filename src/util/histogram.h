@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -46,6 +47,12 @@ class Histogram {
 
   /// Weight in cell i.
   double count(std::size_t i) const;
+
+  /// Weights of every cell, in order (for walks that visit every cell).
+  std::span<const double> counts() const { return counts_; }
+
+  /// Width of one cell, (hi - lo) / bins.
+  double width() const { return width_; }
 
   /// Probability mass of cell i (count / total); 0 when empty.
   double probability(std::size_t i) const;

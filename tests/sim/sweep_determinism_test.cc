@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rlblh_policy.h"
@@ -174,6 +176,72 @@ TEST(SweepDeterminismTest, ObservabilityOnMatchesOffBitwise) {
   // per-interval fallback.
   EXPECT_EQ(obs::registry().counter("sim.blocks").value(), 2 * 4 * 5 * 96);
   EXPECT_GT(obs::registry().counter("sim.block_ns").value(), 0u);
+#endif
+  obs::registry().reset();
+  obs::Tracer::instance().reset();
+}
+
+// A cell with both replay heuristics on: REUSE after every training day and
+// a SYN round every second day. Returns the evaluation and the policy's
+// checkpoint, which holds the weights, the RNG stream and the usage stats.
+std::pair<EvaluationResult, std::string> run_replay_cell(unsigned seed) {
+  RlBlhConfig config;
+  config.decision_interval = 15;
+  config.reuse_repeats = 4;
+  config.synthetic_period = 2;
+  config.synthetic_repeats = 4;
+  config.seed = seed;
+  RlBlhPolicy policy(config);
+  Simulator simulator = make_household_simulator(
+      HouseholdConfig{}, TouSchedule::srp_plan(), config.battery_capacity,
+      2000 + seed);
+  EvaluationConfig eval;
+  eval.train_days = 4;
+  eval.eval_days = 1;
+  const EvaluationResult result = evaluate_policy(simulator, policy, eval);
+  std::ostringstream checkpoint;
+  policy.save_state(checkpoint);
+  return {result, checkpoint.str()};
+}
+
+std::vector<std::pair<EvaluationResult, std::string>> replay_sweep(
+    std::size_t threads) {
+  SweepRunner runner(SweepOptions{threads});
+  return runner.run(2, [](std::size_t cell) {
+    return run_replay_cell(static_cast<unsigned>(11 + cell));
+  });
+}
+
+TEST(SweepDeterminismTest, ReplayTimersRecordWhileResultsStayBitwise) {
+  // The replay timers (rl.replay.*_ns) read the clock only while
+  // observability records and never touch the Rng or the weights, so runs
+  // with REUSE and SYN on stay bitwise identical — down to the checkpoint
+  // bytes — with observability on and off.
+  obs::set_enabled(false);
+  const auto off = replay_sweep(1);
+
+  obs::registry().reset();
+  obs::Tracer::instance().reset();
+  obs::set_enabled(true);
+  const auto on = replay_sweep(2);
+  obs::set_enabled(false);
+
+  ASSERT_EQ(off.size(), 2u);
+  ASSERT_EQ(on.size(), off.size());
+  for (std::size_t i = 0; i < off.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    expect_bitwise_equal(off[i].first, on[i].first);
+    EXPECT_EQ(off[i].second, on[i].second);
+  }
+
+#if RLBLH_OBS_ENABLED
+  // Learning stays on through evaluation, so per cell: 5 days x 4 REUSE
+  // replays, plus SYN rounds on days 2 and 4 (4 synthetic days each).
+  EXPECT_EQ(obs::registry().counter("rl.virtual_days").value(),
+            2 * (5 * 4 + 2 * 4));
+  EXPECT_GT(obs::registry().counter("rl.replay.reuse_ns").value(), 0);
+  EXPECT_GT(obs::registry().counter("rl.replay.syn_sample_ns").value(), 0);
+  EXPECT_GT(obs::registry().counter("rl.replay.syn_train_ns").value(), 0);
 #endif
   obs::registry().reset();
   obs::Tracer::instance().reset();
