@@ -64,7 +64,9 @@ void bench_body(BenchContext& ctx) {
       "Fleet scaling: heterogeneous households over size x worker threads");
 
   const std::size_t kTrainDays = static_cast<std::size_t>(ctx.days(2, 1));
-  const std::size_t kEvalDays = static_cast<std::size_t>(ctx.days(2, 1));
+  // Two eval days even in quick mode: the MI estimator needs more than one
+  // day per household to read above zero, and mi_mean is drift-gated.
+  const std::size_t kEvalDays = 2;
   const std::uint64_t kFleetSeed = 7;
   std::vector<std::size_t> sizes = {1000, 10000};
   if (!ctx.quick()) sizes.push_back(100000);
@@ -118,48 +120,6 @@ void bench_body(BenchContext& ctx) {
       }
     }
 
-    // Lockstep-batched run: same fleet, 8 workers, batch_width=8 so
-    // same-blueprint households in a chunk share one SoA BatchEngine pass.
-    // Batching is bitwise invisible by contract, so the aggregates must
-    // match the scalar reference exactly — asserted below like the thread
-    // sweep. The days/sec delta vs days_per_sec_t8 is the fleet-level
-    // batching win (timing metric, exempt from the drift gate).
-    {
-      FleetOptions options;
-      options.threads = 8;
-      options.batch_width = 8;
-      options.keep_households = false;
-      FleetSimulator fleet(specs, options);
-      const auto start = std::chrono::steady_clock::now();
-      const FleetResult result = fleet.run(kFleetSeed);
-      const double seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-      const double days_per_sec =
-          seconds > 0.0 ? static_cast<double>(days_per_run) / seconds : 0.0;
-      ctx.count_cells(households);
-      ctx.count_days(days_per_run);
-      table.add_row({std::to_string(households), "8 (batched)",
-                     TablePrinter::num(seconds, 3),
-                     TablePrinter::num(days_per_sec, 1),
-                     TablePrinter::num(days_per_sec / 8.0, 1),
-                     TablePrinter::num(100.0 * result.saving_ratio.mean, 1),
-                     TablePrinter::num(result.mean_cc.mean, 4),
-                     TablePrinter::num(result.normalized_mi.mean, 4)});
-      ctx.metric("days_per_sec_batched_t8" + suffix, days_per_sec);
-      if (result.saving_ratio.mean != reference.saving_ratio.mean ||
-          result.saving_ratio.p95 != reference.saving_ratio.p95 ||
-          result.mean_cc.mean != reference.mean_cc.mean ||
-          result.normalized_mi.mean != reference.normalized_mi.mean ||
-          result.battery_violations != reference.battery_violations) {
-        std::fprintf(stderr,
-                     "fleet determinism violated: %zu households, batched "
-                     "aggregates differ from the 1-thread scalar run\n",
-                     households);
-        std::exit(1);
-      }
-    }
-
     // Aggregates are thread-count independent; gate them once per size.
     ctx.metric("sr_mean" + suffix, reference.saving_ratio.mean);
     ctx.metric("sr_p95" + suffix, reference.saving_ratio.p95);
@@ -169,8 +129,8 @@ void bench_body(BenchContext& ctx) {
   table.print(std::cout);
 
   std::printf("\n%zu train + %zu eval days per household; identical "
-              "aggregates at every thread count and batch width (bitwise "
-              "determinism contract, asserted above at every fleet size).\n",
+              "aggregates at every thread count (bitwise determinism "
+              "contract, asserted above at every fleet size).\n",
               kTrainDays, kEvalDays);
 }
 

@@ -14,12 +14,9 @@
 //                         the per-interval engine bit for bit)
 #include "bench_main.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
-#include <span>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,11 +27,6 @@
 #include "common.h"
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
-#include "sim/batch_engine.h"
-#include "sim/engine.h"
-#include "sim/experiment.h"
-#include "util/error.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 #include <iostream>
@@ -87,249 +79,6 @@ std::vector<Scenario> build_scenarios() {
   return scenarios;
 }
 
-// ---- lockstep batch section ---------------------------------------------
-//
-// The batch engine's win is the per-interval arithmetic, so the batch
-// record replays pre-synthesized usage: trace synthesis (~9 us/day) would
-// otherwise dominate and hide the loop speedup behind Amdahl. The scalar
-// anchor `batch_scalar_days_per_sec` runs the *identical* replay workload
-// through SimEngine, making `batch_speedup_w8` an apples-to-apples loop
-// ratio — that ratio is what scripts/bench_compare.py gates (>= 2x).
-// The random-pulse policy is the measured workload: real 15-interval
-// pulse blocks with one RNG draw per block, so the per-interval segment
-// math — what the batch engine vectorizes — carries the day. Seeds are
-// per lane and fixed, so per-lane cents are bitwise reproducible and
-// drift-gated, and the bench asserts every batch lane's total equals its
-// scalar twin's bit for bit.
-
-/// Replays a fixed day pool cyclically; identical values on every pass.
-/// Overrides both into-variants to copy straight out of the pool, so
-/// neither engine pays a per-day DayTrace allocation for the replay.
-class ReplaySource final : public TraceSource {
- public:
-  explicit ReplaySource(const std::vector<DayTrace>* days)
-      : days_(days) {}
-
-  DayTrace next_day() override { return (*days_)[next_++ % days_->size()]; }
-  void next_day_into(DayTrace& out) override {
-    const DayTrace& day = (*days_)[next_++ % days_->size()];
-    out.assign_zero(day.intervals());
-    next_--;  // rewind: delegate the copy to the lane path
-    next_day_into_lane(TraceLane(out));
-  }
-  void next_day_into_lane(TraceLane out) override {
-    const DayTrace& day = (*days_)[next_++ % days_->size()];
-    const double* src = day.values().data();
-    if (out.stride() == 1) {
-      std::memcpy(out.data(), src, day.intervals() * sizeof(double));
-    } else {
-      for (std::size_t n = 0; n < day.intervals(); ++n) out[n] = src[n];
-    }
-  }
-  // Lane-native replay: the pool days are already contiguous, so the block
-  // fills tile by tile — inside a tile the lane loop rewrites the same few
-  // cache lines, so each line of the interval-major block is filled once
-  // instead of once per lane. Values per lane are the strided default's.
-  void next_days_into_lanes(std::span<TraceSource* const> sources,
-                            double* data, std::size_t intervals) override {
-    const std::size_t width = sources.size();
-    constexpr std::size_t kTile = 32;
-    for (std::size_t t = 0; t < intervals; t += kTile) {
-      const std::size_t tile_end = std::min(intervals, t + kTile);
-      for (std::size_t k = 0; k < width; ++k) {
-        auto& lane = static_cast<ReplaySource&>(*sources[k]);
-        const DayTrace& day = (*lane.days_)[lane.next_ % lane.days_->size()];
-        const double* src = day.values().data();
-        double* out = data + k;
-        for (std::size_t n = t; n < tile_end; ++n) out[n * width] = src[n];
-      }
-    }
-    for (std::size_t k = 0; k < width; ++k) {
-      ++static_cast<ReplaySource&>(*sources[k]).next_;
-    }
-  }
-  std::size_t intervals() const override {
-    return days_->front().intervals();
-  }
-  double usage_cap() const override { return HouseholdConfig{}.usage_cap; }
-
- private:
-  const std::vector<DayTrace>* days_;
-  std::size_t next_ = 0;
-};
-
-std::unique_ptr<RandomPulsePolicy> make_batch_policy(std::size_t lane) {
-  RlBlhConfig config;
-  config.decision_interval = 15;
-  config.battery_capacity = 5.0;
-  config.seed = 2025 + lane;
-  return std::make_unique<RandomPulsePolicy>(config);
-}
-
-/// Scalar reference over one lane's replay: total savings cents.
-double run_batch_lane_scalar(SimEngine& engine,
-                             const std::vector<DayTrace>* days,
-                             const TouSchedule& prices, std::size_t lane,
-                             int day_count) {
-  ReplaySource source(days);
-  Battery battery(5.0, 2.5);
-  std::unique_ptr<RandomPulsePolicy> policy = make_batch_policy(lane);
-  double cents = 0.0;
-  engine.run_days(source, prices, battery, *policy,
-                  static_cast<std::size_t>(day_count),
-                  [&](std::size_t, const DayResult& day) {
-                    cents += day.savings_cents;
-                  });
-  return cents;
-}
-
-void run_batch_section(BenchContext& ctx) {
-  print_header("Lockstep batch engine vs scalar engine on replayed usage");
-  TablePrinter table({"workload", "seconds", "days/sec", "savings cents"});
-  constexpr std::size_t kMaxWidth = 16;
-  const int kPoolDays = 32;
-  const int kTimedDays = ctx.days(2000, 400);
-
-  // Per-lane day pools, synthesized once outside every timed window.
-  std::vector<std::vector<DayTrace>> pools(kMaxWidth);
-  for (std::size_t k = 0; k < kMaxWidth; ++k) {
-    HouseholdModel model(HouseholdConfig{},
-                         derive_stream_seed(424242, k));
-    pools[k].reserve(static_cast<std::size_t>(kPoolDays));
-    for (int d = 0; d < kPoolDays; ++d) {
-      pools[k].push_back(model.generate_day());
-    }
-  }
-  const TouSchedule prices = TouSchedule::srp_plan();
-
-  // Both sides of the speedup ratio are timed best-of-kReps: each
-  // repetition restarts from fresh per-lane state (so its cents are
-  // bitwise the first repetition's — asserted below), and the fastest
-  // repetition stands. The ratio gates CI at a fixed floor, so a single
-  // frequency dip on either side must not be able to fail (or pass) the
-  // gate; the minimum over repetitions is the standard estimator for
-  // that. The first repetition also pre-faults every engine buffer, so
-  // the surviving windows time steady-state work only.
-  constexpr int kReps = 3;
-
-  // Scalar anchor: every lane's replay through SimEngine, one at a time.
-  SimEngine scalar_engine;
-  std::vector<double> scalar_cents(kMaxWidth);
-  double scalar_seconds = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<double> rep_cents(kMaxWidth);
-    const auto scalar_start = std::chrono::steady_clock::now();
-    for (std::size_t k = 0; k < kMaxWidth; ++k) {
-      rep_cents[k] =
-          run_batch_lane_scalar(scalar_engine, &pools[k], prices, k,
-                                kTimedDays);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scalar_start)
-            .count();
-    if (rep == 0) {
-      scalar_cents = rep_cents;
-      scalar_seconds = seconds;
-    } else {
-      RLBLH_REQUIRE(rep_cents == scalar_cents,
-                    "micro_engine: scalar replay not deterministic");
-      scalar_seconds = std::min(scalar_seconds, seconds);
-    }
-    ctx.count_days(static_cast<std::size_t>(kTimedDays) * kMaxWidth);
-  }
-  const double scalar_total_days =
-      static_cast<double>(kTimedDays) * static_cast<double>(kMaxWidth);
-  const double scalar_days_per_sec =
-      scalar_seconds > 0.0 ? scalar_total_days / scalar_seconds : 0.0;
-  ctx.metric("batch_scalar_days_per_sec", scalar_days_per_sec);
-  double scalar_cents_total = 0.0;
-  for (const double cents : scalar_cents) scalar_cents_total += cents;
-  table.add_row({"scalar x16 (replay)", TablePrinter::num(scalar_seconds, 3),
-                 TablePrinter::num(scalar_days_per_sec, 1),
-                 TablePrinter::num(scalar_cents_total, 3)});
-
-  std::size_t lane_mismatches = 0;
-  for (const std::size_t width : {std::size_t{8}, kMaxWidth}) {
-    BatchEngine engine;
-    std::vector<double> batch_cents(width, 0.0);
-    double seconds = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      std::vector<ReplaySource> sources;
-      std::vector<std::unique_ptr<RandomPulsePolicy>> policies;
-      std::vector<TraceSource*> source_ptrs;
-      std::vector<BlhPolicy*> policy_ptrs;
-      sources.reserve(width);
-      for (std::size_t k = 0; k < width; ++k) {
-        sources.emplace_back(&pools[k]);
-        policies.push_back(make_batch_policy(k));
-        policy_ptrs.push_back(policies.back().get());
-      }
-      for (ReplaySource& source : sources) source_ptrs.push_back(&source);
-      BatteryLanes batteries;
-      batteries.reset(width, 5.0, 2.5);
-      std::vector<double> rep_cents(width, 0.0);
-      const auto start = std::chrono::steady_clock::now();
-      for (int d = 0; d < kTimedDays; ++d) {
-        const BatchDay& day =
-            engine.run_day(source_ptrs, prices, batteries, policy_ptrs);
-        for (std::size_t k = 0; k < width; ++k) {
-          rep_cents[k] += day.savings_cents[k];
-        }
-      }
-      const double rep_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (rep == 0) {
-        batch_cents = rep_cents;
-        seconds = rep_seconds;
-      } else {
-        RLBLH_REQUIRE(rep_cents == batch_cents,
-                      "micro_engine: batch replay not deterministic");
-        seconds = std::min(seconds, rep_seconds);
-      }
-      ctx.count_days(static_cast<std::size_t>(kTimedDays) * width);
-    }
-    const double total_days =
-        static_cast<double>(kTimedDays) * static_cast<double>(width);
-    const double days_per_sec = seconds > 0.0 ? total_days / seconds : 0.0;
-    ctx.count_cells(width);
-
-    // Lane-level bit check against the scalar anchor: per-lane cents sum in
-    // day order on both sides, so any engine divergence shows up here.
-    double cents_total = 0.0;
-    for (std::size_t k = 0; k < width; ++k) {
-      cents_total += batch_cents[k];
-      if (batch_cents[k] != scalar_cents[k]) ++lane_mismatches;
-    }
-    const std::string w = "_w" + std::to_string(width);
-    ctx.metric("batch_days_per_sec" + w, days_per_sec);
-    ctx.metric("batch_savings_cents" + w, cents_total);
-    ctx.metric("batch_speedup" + w,
-               scalar_days_per_sec > 0.0 ? days_per_sec / scalar_days_per_sec
-                                         : 0.0);
-    table.add_row({"batch W=" + std::to_string(width),
-                   TablePrinter::num(seconds, 3),
-                   TablePrinter::num(days_per_sec, 1),
-                   TablePrinter::num(cents_total, 3)});
-  }
-  ctx.metric("batch_lane_mismatches",
-             static_cast<double>(lane_mismatches));
-  if (lane_mismatches != 0) {
-    std::fprintf(stderr,
-                 "batch engine bit-identity violated: %zu lanes diverged "
-                 "from their scalar twins\n",
-                 lane_mismatches);
-    std::exit(1);
-  }
-  table.print(std::cout);
-  std::printf("\nReplayed usage (%d timed days per lane from a %d-day pool); "
-              "synthesis excluded from every timed window; every batch "
-              "lane's cents bitwise equal its scalar twin's.\n",
-              kTimedDays, kPoolDays);
-}
-
 }  // namespace
 
 void bench_body(BenchContext& ctx) {
@@ -339,8 +88,6 @@ void bench_body(BenchContext& ctx) {
   const int kTimedDays = ctx.days(3000, 60);
 
   TablePrinter table({"policy", "seconds", "days/sec", "savings cents"});
-  double scalar_section_days = 0.0;
-  double scalar_section_seconds = 0.0;
   for (const Scenario& scenario : build_scenarios()) {
     std::unique_ptr<BlhPolicy> policy = scenario.make_policy();
     Simulator sim = make_household_simulator(HouseholdConfig{},
@@ -362,8 +109,6 @@ void bench_body(BenchContext& ctx) {
 
     ctx.count_cells(1);
     ctx.count_days(static_cast<std::size_t>(kTimedDays));
-    scalar_section_days += static_cast<double>(kTimedDays);
-    scalar_section_seconds += seconds;
     table.add_row({scenario.name, TablePrinter::num(seconds, 3),
                    TablePrinter::num(days_per_sec, 1),
                    TablePrinter::num(savings_cents, 3)});
@@ -372,20 +117,10 @@ void bench_body(BenchContext& ctx) {
   }
   table.print(std::cout);
 
-  // Overall scalar day-loop rate across the policy mix — the anchor
-  // bench_compare.py's batch gate multiplies (batch W=8 must hold a
-  // multiple of this committed figure).
-  ctx.metric("scalar_days_per_sec",
-             scalar_section_seconds > 0.0
-                 ? scalar_section_days / scalar_section_seconds
-                 : 0.0);
-
   std::printf("\nSingle-threaded day loop (%d timed days per policy after "
               "%d warm-up days); savings totals are deterministic and "
               "drift-gated.\n",
               kTimedDays, kWarmupDays);
-
-  run_batch_section(ctx);
 }
 
 }  // namespace rlblh::bench

@@ -1,37 +1,26 @@
 // Serving-path benchmark: in-process rlblh_serve daemons on unix sockets,
 // driven by the same clients CI's serve-smoke job runs out of process.
-// Three legs:
+// Two legs:
 //
 //   1. Metering throughput — the load generator drives a fleet against the
-//      default (event-loop) daemon: end-to-end household-days/sec through
-//      the frame protocol, engine stepping, and per-day checkpoint writes,
-//      plus per-interval step latency.
-//   2. Batch vs stream close — a pipelined fleet of >= 8 same-blueprint
-//      co-resident households (one shard, whole-day frames written before
-//      acks are read) measured twice: batch_width 32 (day closes stepped
-//      through BatchEngine lanes) vs batch_width 1 (every close streams).
-//      The ratio is the server-side batching payoff bench_compare.py gates.
-//   3. Connection sweep — how many concurrently-open connections each
-//      threading mode sustains with a bounded ping p99: thread-per-conn up
-//      to its admission cap, then the event loop at a multiple of that.
+//      daemon: end-to-end household-days/sec through the frame protocol,
+//      engine stepping, and per-day checkpoint writes, plus per-interval
+//      step latency.
+//   2. Connection sweep — how many concurrently-open connections the daemon
+//      sustains with a bounded ping p99.
 //
 // Headline metrics:
-//   serve_households_per_core           leg 1 household-days/sec per thread
-//   serve_intervals_per_sec             leg 1 intervals ingested per second
-//   step_latency_p50_us / _p99_us       leg 1 frame RTT / intervals-per-frame
-//   serve_households_per_core_batch     leg 2, batch_width 32 (lanes engaged)
-//   serve_households_per_core_stream    leg 2, batch_width 1 (stream closes)
-//   serve_batch_speedup                 leg 2 ratio (batch / stream)
-//   serve_conns_sustained_threadperconn leg 3 conns admitted + answering
-//   serve_conns_sustained_eventloop     leg 3, event-loop daemon
-//   serve_conn_p99_ms_threadperconn     leg 3 ping p99 across open conns
-//   serve_conn_p99_ms_eventloop         leg 3, event-loop daemon
+//   serve_households_per_core        leg 1 household-days/sec per thread
+//   serve_intervals_per_sec          leg 1 intervals ingested per second
+//   step_latency_p50_us / _p99_us    leg 1 frame RTT / intervals-per-frame
+//   serve_conns_sustained_eventloop  leg 2 conns admitted + answering
+//   serve_conn_p99_ms_eventloop      leg 2 ping p99 across open conns
 //
-// Throughput/timing/speedup figures are machine measurements, exempt from
-// the strict drift gate and covered by the wall budget; the two sustained
-// connection counts are capacity measurements gated by compare_serve in
-// bench_compare.py (event loop >= --serve-conn-ratio x thread-per-conn at
-// p99 <= --serve-p99-bound-ms).
+// Throughput/timing figures are machine measurements, exempt from the
+// strict drift gate and covered by the wall budget; the sustained
+// connection count is a capacity measurement gated by compare_serve in
+// bench_compare.py (at least the baseline's count, at p99 <=
+// --serve-p99-bound-ms).
 #include "bench_main.h"
 
 #include <algorithm>
@@ -43,13 +32,10 @@
 #include <string>
 #include <vector>
 
-#include "meter/trace.h"
 #include "serve/client.h"
 #include "serve/load_gen.h"
 #include "serve/net.h"
-#include "serve/protocol.h"
 #include "serve/server.h"
-#include "sim/scenario.h"
 #include "util/error.h"
 
 namespace rlblh::bench {
@@ -71,84 +57,7 @@ double quantile(std::vector<double> values, double q) {
   return values[rank];
 }
 
-// --- leg 2: pipelined same-blueprint fleet ------------------------------
-
-struct PipelinedResult {
-  double wall_seconds = 0.0;
-  std::size_t days = 0;
-};
-
-/// Drives `width` same-blueprint households for `days` days over ONE
-/// connection, writing every household's whole-day frame before reading
-/// that day's acks — the traffic shape that lands co-resident day closes
-/// in a shared shard drain, where the event-loop daemon batch-steps them.
-/// Every frame is encoded before the clock starts, so the timed window is
-/// the daemon's ingest + close path, not client-side trace generation.
-PipelinedResult drive_pipelined_fleet(const std::string& endpoint,
-                                      std::size_t width, std::size_t days,
-                                      std::uint64_t seed_base) {
-  std::vector<std::uint8_t> hello_blob;
-  std::vector<std::vector<std::uint8_t>> day_blobs(days);
-  {
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (std::size_t h = 0; h < width; ++h) {
-      // Steady-state serving workload: the REUSE/SYN replay bursts only
-      // exist for a household's first weeks and swamp the close cost with
-      // per-lane Q replays; a metering daemon's long-run cost is the real
-      // day itself, which is what the batch lanes accelerate.
-      const std::string spec =
-          "policy=rlblh;policy.reuse=0;policy.syn=0;seed=" +
-          std::to_string(seed_base + h);
-      sources.push_back(make_scenario_source(ScenarioSpec::parse(spec)));
-      encode_hello(hello_blob, HelloMsg{h, spec});
-    }
-    for (std::size_t d = 0; d < days; ++d) {
-      for (std::size_t h = 0; h < width; ++h) {
-        const DayTrace trace = sources[h]->next_day();
-        encode_readings(day_blobs[d],
-                        ReadingsMsg{h, static_cast<std::uint32_t>(d), 0,
-                                    trace.values()});
-      }
-    }
-  }
-
-  const int fd = connect_endpoint(endpoint);
-  FrameReader reader;
-  std::vector<std::uint8_t> payload;
-  std::uint8_t buffer[65536];
-  const auto read_acks = [&](std::size_t expected) {
-    std::size_t got_acks = 0;
-    while (got_acks < expected) {
-      while (got_acks < expected && reader.take(payload)) {
-        ++got_acks;
-        payload.clear();
-      }
-      if (got_acks >= expected) break;
-      const std::size_t got = recv_some(fd, buffer, sizeof(buffer));
-      if (got == 0) {
-        throw DataError("serve bench: daemon closed mid-fleet");
-      }
-      reader.append(buffer, got);
-    }
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  send_all(fd, hello_blob.data(), hello_blob.size());
-  read_acks(width);
-  for (std::size_t d = 0; d < days; ++d) {
-    send_all(fd, day_blobs[d].data(), day_blobs[d].size());
-    read_acks(width);
-  }
-  PipelinedResult result;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  result.days = width * days;
-  close_quietly(fd);
-  return result;
-}
-
-// --- leg 3: connection sweep --------------------------------------------
+// --- leg 2: connection sweep --------------------------------------------
 
 struct SweepResult {
   std::size_t sustained = 0;  ///< conns admitted AND answering a ping
@@ -214,7 +123,7 @@ void bench_body(BenchContext& ctx) {
   fs::remove_all(scratch);
   fs::create_directories(scratch);
 
-  // --- leg 1: load_gen metering throughput (event-loop daemon) ----------
+  // --- leg 1: load_gen metering throughput ------------------------------
   {
     ServeConfig server_config = daemon_config(scratch, "throughput");
     ServeServer server(server_config);
@@ -257,107 +166,20 @@ void bench_body(BenchContext& ctx) {
     ctx.metric("step_latency_p99_us", p99_us);
   }
 
-  // --- leg 2: batch vs stream day closes (pipelined fleet, one shard) ---
+  // --- leg 2: sustained connections -------------------------------------
   {
-    const std::size_t width = static_cast<std::size_t>(ctx.days(32, 32));
-    const std::size_t days = static_cast<std::size_t>(ctx.days(24, 4));
+    const std::size_t target = static_cast<std::size_t>(ctx.days(3072, 384));
+    ServeServer server(daemon_config(scratch, "sweep"));
+    server.start();
+    const SweepResult sweep = sweep_connections(server.endpoint(), target);
+    server.stop();
 
-    // Stream reference: batch_width 1 disables lane staging, every close
-    // runs the per-interval stream finalizer. The checkpoint period sits
-    // past the horizon in both legs so the measured difference is the
-    // close path itself, not the (identical) per-day checkpoint writes.
-    ServeConfig stream_config = daemon_config(scratch, "stream");
-    stream_config.shards = 1;
-    stream_config.batch_width = 1;
-    stream_config.checkpoint_period_days = days + 1;
-    ServeServer stream_server(stream_config);
-    stream_server.start();
-    const PipelinedResult stream = drive_pipelined_fleet(
-        stream_server.endpoint(), width, days, /*seed_base=*/100);
-    stream_server.stop();
-    ctx.count_days(stream.days);
+    std::printf("[conns] %zu sustained (target %zu), ping p99 %.3f ms\n\n",
+                sweep.sustained, target, sweep.p99_ms);
 
-    // Batch candidate: same traffic, batch_width 32. Batch engagement
-    // needs >= 2 closes inside one queue drain; the pipelined whole-day
-    // writes make that overwhelmingly likely, but drain timing is
-    // scheduler-dependent, so retry rather than record a stream-shaped
-    // number under a batch label.
-    PipelinedResult batch;
-    std::size_t batch_days_stepped = 0;
-    for (int attempt = 0; attempt < 5 && batch_days_stepped == 0; ++attempt) {
-      ServeConfig batch_config = daemon_config(
-          scratch, "batch_" + std::to_string(attempt));
-      batch_config.shards = 1;
-      batch_config.batch_width = 32;
-      batch_config.checkpoint_period_days = days + 1;
-      ServeServer batch_server(batch_config);
-      batch_server.start();
-      batch = drive_pipelined_fleet(batch_server.endpoint(), width, days,
-                                    /*seed_base=*/100);
-      batch_server.stop();
-      batch_days_stepped = batch_server.batch_days_completed();
-      ctx.count_days(batch.days);
-    }
-    if (batch_days_stepped == 0) {
-      throw DataError(
-          "serve bench: batch stepping never engaged across 5 pipelined "
-          "attempts — the batch leg would mislabel stream numbers");
-    }
-
-    const double stream_rate =
-        static_cast<double>(stream.days) /
-        (stream.wall_seconds > 0.0 ? stream.wall_seconds : 1e-9);
-    const double batch_rate =
-        static_cast<double>(batch.days) /
-        (batch.wall_seconds > 0.0 ? batch.wall_seconds : 1e-9);
-    const double speedup = stream_rate > 0.0 ? batch_rate / stream_rate : 0.0;
-
-    std::printf("[batch] %zu co-resident households x %zu days, one shard, "
-                "%zu closes lane-stepped\n", width, days, batch_days_stepped);
-    std::printf("[batch] household-days/s: stream %.1f, batch %.1f "
-                "(%.2fx)\n\n", stream_rate, batch_rate, speedup);
-
-    // One pipelined connection = one client core for both legs.
-    ctx.metric("serve_households_per_core_batch", batch_rate);
-    ctx.metric("serve_households_per_core_stream", stream_rate);
-    ctx.metric("serve_batch_speedup", speedup);
-  }
-
-  // --- leg 3: sustained connections per threading mode ------------------
-  {
-    // Thread-per-conn first, capped explicitly so quick runs do not spawn
-    // hundreds of blocking threads on a CI box. Its sustained count then
-    // sizes the event-loop target: 12x leaves headroom over the 10x gate.
-    const std::size_t tpc_cap = static_cast<std::size_t>(ctx.days(256, 32));
-
-    ServeConfig tpc_config = daemon_config(scratch, "tpc_sweep");
-    tpc_config.threading = ThreadingMode::kThreadPerConn;
-    tpc_config.max_connections = tpc_cap;
-    ServeServer tpc_server(tpc_config);
-    tpc_server.start();
-    const SweepResult tpc = sweep_connections(tpc_server.endpoint(),
-                                              tpc_cap + 16);
-    tpc_server.stop();
-
-    const std::size_t el_target = std::max<std::size_t>(tpc.sustained, 1) * 12;
-    ServeConfig el_config = daemon_config(scratch, "el_sweep");
-    el_config.threading = ThreadingMode::kEventLoop;
-    ServeServer el_server(el_config);
-    el_server.start();
-    const SweepResult el = sweep_connections(el_server.endpoint(), el_target);
-    el_server.stop();
-
-    std::printf("[conns] thread-per-conn: %zu sustained (cap %zu), ping "
-                "p99 %.3f ms\n", tpc.sustained, tpc_cap, tpc.p99_ms);
-    std::printf("[conns] event-loop:      %zu sustained (target %zu), ping "
-                "p99 %.3f ms\n\n", el.sustained, el_target, el.p99_ms);
-
-    ctx.metric("serve_conns_sustained_threadperconn",
-               static_cast<double>(tpc.sustained));
     ctx.metric("serve_conns_sustained_eventloop",
-               static_cast<double>(el.sustained));
-    ctx.metric("serve_conn_p99_ms_threadperconn", tpc.p99_ms);
-    ctx.metric("serve_conn_p99_ms_eventloop", el.p99_ms);
+               static_cast<double>(sweep.sustained));
+    ctx.metric("serve_conn_p99_ms_eventloop", sweep.p99_ms);
   }
 
   fs::remove_all(scratch);

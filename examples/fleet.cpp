@@ -1,19 +1,17 @@
-// Fleet: run many households at once, optionally lockstep-batched.
+// Fleet: run many households at once.
 //
 // Builds a fleet of ScenarioSpecs (a repeating mix of policies, household
 // presets and pricing plans, or N copies of one --scenario spec), runs it
-// through FleetSimulator, and prints the fleet aggregates. The execution
-// knobs — worker threads, chunk size, and the lockstep batch width W — are
-// plain flags, so this is also the quickest way to see the batching
-// contract in action: every (threads, chunk, batch-width) combination
-// produces bitwise-identical aggregates, only the wall clock moves.
+// through FleetSimulator, and prints the fleet aggregates. The worker
+// thread count is a plain flag, so this is also the quickest way to see the
+// fleet's determinism contract in action: every thread count produces
+// bitwise-identical aggregates, only the wall clock moves.
 //
 //   fleet [--households N] [--train DAYS] [--eval DAYS] [--seed N]
-//         [--threads T] [--batch-width W] [--scenario SPEC]
+//         [--threads T] [--scenario SPEC]
 //
 // Examples:
-//   fleet --households 1000 --threads 8                 # scalar engine
-//   fleet --households 1000 --threads 8 --batch-width 8 # SoA BatchEngine
+//   fleet --households 1000 --threads 8
 //   fleet --scenario "policy=lowpass;battery=3" --households 64
 #include <chrono>
 #include <cstdio>
@@ -33,19 +31,14 @@ struct Options {
   std::size_t train_days = 5;
   std::size_t eval_days = 5;
   std::uint64_t seed = 7;
-  std::size_t threads = 0;      // 0: ThreadPool default
-  std::size_t batch_width = 0;  // 0: scalar engine per household
-  std::string scenario;         // empty: the built-in heterogeneous mix
+  std::size_t threads = 0;  // 0: ThreadPool default
+  std::string scenario;     // empty: the built-in heterogeneous mix
 };
 
 [[noreturn]] void usage_and_exit(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--households N] [--train DAYS] [--eval DAYS]\n"
-               "          [--seed N] [--threads T] [--batch-width W]\n"
-               "          [--scenario SPEC]\n"
-               "--batch-width W runs same-blueprint households through the\n"
-               "lockstep SoA BatchEngine, W lanes at a time; results are\n"
-               "bitwise identical to the scalar engine at any W.\n",
+               "          [--seed N] [--threads T] [--scenario SPEC]\n",
                argv0);
   std::exit(2);
 }
@@ -68,8 +61,6 @@ Options parse(int argc, char** argv) {
       options.seed = std::stoull(value());
     } else if (flag == "--threads") {
       options.threads = std::stoul(value());
-    } else if (flag == "--batch-width") {
-      options.batch_width = std::stoul(value());
     } else if (flag == "--scenario") {
       options.scenario = value();
     } else {
@@ -80,9 +71,8 @@ Options parse(int argc, char** argv) {
   return options;
 }
 
-/// A homogeneous fleet batches perfectly (every household shares one
-/// blueprint); the built-in mix shows the realistic case where only
-/// same-blueprint households in a chunk share a BatchEngine pass.
+/// N copies of --scenario share one blueprint; the built-in mix cycles
+/// through four.
 std::vector<ScenarioSpec> build_fleet(const Options& options) {
   static const char* const kMixes[] = {
       "policy=rlblh;household=default;pricing=srp;battery=5",
@@ -112,17 +102,14 @@ int main(int argc, char** argv) {
   try {
     FleetOptions run;
     run.threads = options.threads;
-    run.batch_width = options.batch_width;
     run.keep_households = false;  // aggregates only
 
     FleetSimulator fleet(build_fleet(options), run);
     std::printf("fleet: %zu households, %zu+%zu days, seed %llu, "
-                "threads %zu, batch width %zu%s\n",
+                "threads %zu\n",
                 fleet.size(), options.train_days, options.eval_days,
                 static_cast<unsigned long long>(options.seed),
-                options.threads, options.batch_width,
-                options.batch_width > 1 ? " (lockstep SoA engine)"
-                                        : " (scalar engine)");
+                options.threads);
 
     const auto start = std::chrono::steady_clock::now();
     const FleetResult result = fleet.run(options.seed);

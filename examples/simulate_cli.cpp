@@ -12,7 +12,7 @@
 //                [--plan srp|flat|three-zone|tou2|rtp]
 //                [--battery KWH] [--nd MINUTES] [--seed N]
 //                [--train DAYS] [--eval DAYS]
-//                [--fleet N] [--threads T] [--batch-width W]
+//                [--fleet N] [--threads T]
 //                [--trace-in usage.csv] [--trace-out day.csv]
 //                [--load-weights w.txt] [--save-weights w.txt]
 //                [--check-invariants] [--obs [--obs-out run.json]]
@@ -23,7 +23,7 @@
 //   simulate_cli --list                           # registered components
 //   simulate_cli --train 60 --save-weights w.txt  # learn, persist
 //   simulate_cli --train 0 --load-weights w.txt   # deploy learned weights
-//   simulate_cli --fleet 1000 --batch-width 8     # 1000 households, SoA
+//   simulate_cli --fleet 1000 --threads 4         # 1000 households
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -63,7 +63,6 @@ struct Options {
   std::optional<std::size_t> eval;
   std::size_t fleet = 0;
   std::size_t threads = 0;
-  std::size_t batch_width = 0;
   std::string trace_in;
   std::string trace_out;
   std::string load_weights;
@@ -81,7 +80,7 @@ struct Options {
                "          [--battery KWH]\n"
                "          [--nd MINUTES] [--seed N] [--train DAYS]\n"
                "          [--eval DAYS] [--fleet N] [--threads T]\n"
-               "          [--batch-width W] [--trace-in usage.csv]\n"
+               "          [--trace-in usage.csv]\n"
                "          [--trace-out day.csv] [--load-weights w.txt]\n"
                "          [--save-weights w.txt] [--check-invariants]\n"
                "          [--obs] [--obs-out run.json]\n"
@@ -90,9 +89,7 @@ struct Options {
                "dotted keys (policy.alpha=0.01, pricing.rate=11, "
                "household.scale=1.2) reach the component factories.\n"
                "--fleet N runs N households of the resolved spec through\n"
-               "FleetSimulator (per-household seeds derived from --seed);\n"
-               "--batch-width W adds the lockstep SoA BatchEngine, W lanes\n"
-               "at a time — bitwise identical to the scalar engine.\n",
+               "FleetSimulator (per-household seeds derived from --seed).\n",
                argv0);
   std::exit(2);
 }
@@ -127,8 +124,6 @@ Options parse(int argc, char** argv) {
       options.fleet = std::stoul(value());
     } else if (flag == "--threads") {
       options.threads = std::stoul(value());
-    } else if (flag == "--batch-width") {
-      options.batch_width = std::stoul(value());
     } else if (flag == "--trace-in") {
       options.trace_in = value();
     } else if (flag == "--trace-out") {
@@ -199,21 +194,15 @@ bool pulse_shaped_policy(const std::string& name) {
 
 /// --fleet N: N households of the resolved spec through FleetSimulator.
 /// FleetSimulator re-seeds every household from (--seed, index), so the
-/// fleet is reproducible from the same one number as the single run; the
-/// homogeneous specs share one blueprint, so --batch-width W groups them
-/// into W-lane lockstep BatchEngine passes (bitwise invisible by contract).
+/// fleet is reproducible from the same one number as the single run.
 int run_fleet(const Options& options, const ScenarioSpec& spec) {
   FleetOptions run;
   run.threads = options.threads;
-  run.batch_width = options.batch_width;
   run.keep_households = false;
   FleetSimulator fleet(std::vector<ScenarioSpec>(options.fleet, spec), run);
 
-  std::printf("fleet of %zu x [%s] | threads %zu | batch width %zu (%s)\n",
-              fleet.size(), spec.canonical().c_str(), options.threads,
-              options.batch_width,
-              options.batch_width > 1 ? "lockstep SoA engine"
-                                      : "scalar engine");
+  std::printf("fleet of %zu x [%s] | threads %zu\n", fleet.size(),
+              spec.canonical().c_str(), options.threads);
   const FleetResult r = fleet.run(spec.seed);
   std::printf("over %zu evaluation day(s) per household:\n", spec.eval_days);
   std::printf("  saving ratio : mean %6.2f %% | p50 %6.2f %% | p95 %6.2f %%\n",
@@ -367,11 +356,6 @@ int main(int argc, char** argv) {
       obs::set_enabled(true);
     }
     const ScenarioSpec spec = resolve_spec(options);
-    if (options.batch_width > 1 && options.fleet == 0) {
-      std::fprintf(stderr, "--batch-width needs --fleet N (the lockstep "
-                           "engine batches households, not days)\n");
-      return 2;
-    }
     if (options.fleet > 0) {
       if (!options.trace_out.empty() || !options.load_weights.empty() ||
           !options.save_weights.empty() || options.check_invariants) {

@@ -16,23 +16,9 @@ current run must provide a matching BENCH_<name>.json whose
     machine-relative quantity) has not dropped more than the allowed
     fraction below the baseline's ratio (see --scaling-tolerance /
     --no-scaling below), and
-  * for benches that emit batch_days_per_sec_w<W> records, the W=8 figure
-    is at least --batch-speedup times the baseline's overall scalar
-    days_per_sec, rescaled by the machine-speed ratio (see --no-batch), and
-  * when the current record also carries an in-run scalar anchor
-    (batch_scalar_days_per_sec: the identical replay workload through the
-    scalar engine, measured in the same run), the W=8 figure is at least
-    --batch-anchor-speedup times that anchor. Both numbers come from one
-    process on one machine, so no machine rescaling applies — this is the
-    sharp "is batching worth it" gate; the baseline-relative gate above is
-    the coarse cross-machine one, and
-  * for the serving bench's in-run capacity pairs, the event-loop daemon
-    must sustain --serve-conn-ratio times the connections of the
-    thread-per-conn daemon with its ping p99 inside --serve-p99-bound-ms,
-    and the batch-stepped close rate must be --serve-batch-speedup times
-    the same run's stream-close rate (see --no-serve). Like the in-run
-    batch anchor, both halves of each ratio come from one process on one
-    machine, so no rescaling applies.
+  * for the serving bench's connection sweep, the daemon sustains at least
+    the baseline's count of concurrently open connections with its ping
+    p99 inside --serve-p99-bound-ms (see --no-serve).
 
 Baselines recorded on a single-core machine carry
 "hardware_concurrency": 1; the parallel-efficiency gate skips (loudly)
@@ -71,22 +57,11 @@ from pathlib import Path
 # by the machine-ratio-scaled budget in main().
 TIMING_METRIC = re.compile(r"(^|_)(ns|us|ms|sec|seconds)(_|$)")
 
-# Speedup metrics (batch_speedup_w8) are ratios of two timings from the
-# same run: machine-relative but still noisy between runs, so they are
-# exempt from the strict drift check like the raw timings they divide.
-SPEEDUP_METRIC = re.compile(r"(^|_)speedup(_|$)")
-
 # Throughput-rate metrics (serve_households_per_core, intervals_per_sec)
 # are measurements like the timing metrics: they move with the machine, so
 # they are exempt from the strict drift check and covered by the wall
 # budget. (days_per_sec families are already exempt via the "sec" token.)
 THROUGHPUT_METRIC = re.compile(r"(^|_)per_(sec|core)(_|$)")
-
-# Lockstep-batch throughput records emitted by micro_engine
-# (batch_days_per_sec_w8). The W=8 figure is gated against the committed
-# scalar baseline: the batch engine must keep a multiple of the scalar
-# per-day rate or the SoA path has stopped paying for itself.
-BATCH_METRIC = re.compile(r"^batch_days_per_sec_w(\d+)$")
 
 # Per-core throughput metrics emitted by the scaling benches
 # (days_per_sec_per_core_t8_h10000). Absolute values move with the machine,
@@ -165,143 +140,39 @@ def compare_scaling(name: str, base: dict, cur: dict, tolerance: float):
     return failures, info
 
 
-def compare_batch(name: str, base: dict, cur: dict, min_speedup: float,
-                  machine_speedup: float, min_anchor_speedup: float):
-    """Gates lockstep-batch throughput two ways. Cross-machine: the current
-    batch_days_per_sec_w8 must be at least `min_speedup` times the committed
-    baseline's overall scalar day-loop rate (the scalar_days_per_sec metric;
-    the record-level days_per_sec is the fallback for old records), rescaled
-    to this machine's speed. In-run: when the current record carries a
-    batch_scalar_days_per_sec anchor (the same replay workload through the
-    scalar engine, same run, same machine), the W=8 figure must be at least
-    `min_anchor_speedup` times that anchor — no rescaling, because both
-    numbers share the run. Other widths are reported but not gated. Returns
-    (failures, info_lines)."""
-    failures, info = [], []
-    scalar = float(
-        base.get("metrics", {}).get(
-            "scalar_days_per_sec", base.get("days_per_sec", 0.0)
-        )
-    )
-    anchor = float(cur.get("metrics", {}).get("batch_scalar_days_per_sec", 0.0))
-    if (scalar <= 0.0 or machine_speedup <= 0.0) and anchor <= 0.0:
-        return failures, info
-    for key in sorted(cur.get("metrics", {})):
-        match = BATCH_METRIC.match(key)
-        if not match:
-            continue
-        width = int(match.group(1))
-        batch = float(cur["metrics"][key])
-        gated = width == 8
-        if scalar > 0.0 and machine_speedup > 0.0:
-            floor = min_speedup * scalar * machine_speedup
-            ratio = batch / (scalar * machine_speedup)
-            status = "ok" if batch >= floor else ("FAIL" if gated else "info")
-            info.append(
-                f"{name} W={width}: batch {batch:.0f} days/s = {ratio:.2f}x "
-                f"the scalar baseline ({scalar:.0f} x machine "
-                f"{machine_speedup:.2f}x; floor {min_speedup:.1f}x) {status}"
-            )
-            if gated and batch < floor:
-                failures.append(
-                    f"{name}: batch throughput below floor: '{key}' = "
-                    f"{batch:.0f} days/s, need >= {min_speedup:.1f}x the "
-                    f"baseline scalar rate ({floor:.0f} days/s on this "
-                    f"machine)"
-                )
-        if anchor > 0.0:
-            anchor_ratio = batch / anchor
-            anchor_ok = anchor_ratio >= min_anchor_speedup
-            status = "ok" if anchor_ok else ("FAIL" if gated else "info")
-            info.append(
-                f"{name} W={width}: batch {batch:.0f} days/s = "
-                f"{anchor_ratio:.2f}x the in-run scalar anchor "
-                f"({anchor:.0f} days/s; floor {min_anchor_speedup:.1f}x) "
-                f"{status}"
-            )
-            if gated and not anchor_ok:
-                failures.append(
-                    f"{name}: batch throughput below the in-run anchor "
-                    f"floor: '{key}' = {batch:.0f} days/s is only "
-                    f"{anchor_ratio:.2f}x the same-run scalar rate "
-                    f"({anchor:.0f} days/s), need >= "
-                    f"{min_anchor_speedup:.1f}x"
-                )
-    return failures, info
-
-
-def compare_serve(name: str, cur: dict, min_conn_ratio: float,
-                  p99_bound_ms: float, min_batch_speedup: float):
-    """Gates the serving-path capacity claims, both from in-run pairs (the
-    two numbers of each ratio come from the same process on the same
-    machine, so no baseline rescaling applies). Capacity: the event-loop
-    daemon must sustain at least `min_conn_ratio` times the connections of
-    the thread-per-conn daemon, with the event-loop ping p99 inside
-    `p99_bound_ms` — "10x the connections at bounded p99". Batching: the
-    batch-stepped household-days/sec figure must be at least
-    `min_batch_speedup` times the same run's stream-close figure — except
-    on a single-core machine, where every serving design serializes and
-    the ratio is skipped loudly (the compare_scaling rationale). Records
-    without the serve metrics are skipped. Returns (failures, info_lines)."""
+def compare_serve(name: str, base: dict, cur: dict, p99_bound_ms: float):
+    """Gates the serving bench's connection capacity: the daemon must
+    sustain at least the baseline's count of concurrently open connections
+    (serve_conns_sustained_eventloop), with the same run's ping p99 across
+    them inside `p99_bound_ms`. Records without the metric are skipped.
+    Returns (failures, info_lines)."""
     failures, info = [], []
     metrics = cur.get("metrics", {})
-    el_conns = float(metrics.get("serve_conns_sustained_eventloop", 0.0))
-    tpc_conns = float(metrics.get("serve_conns_sustained_threadperconn", 0.0))
-    if el_conns > 0.0 and tpc_conns > 0.0:
-        ratio = el_conns / tpc_conns
-        el_p99 = float(metrics.get("serve_conn_p99_ms_eventloop", 0.0))
-        ratio_ok = ratio >= min_conn_ratio
-        p99_ok = el_p99 <= p99_bound_ms
-        status = "ok" if (ratio_ok and p99_ok) else "FAIL"
-        info.append(
-            f"{name}: event loop sustains {el_conns:.0f} conns = "
-            f"{ratio:.1f}x thread-per-conn ({tpc_conns:.0f}; floor "
-            f"{min_conn_ratio:.0f}x) at ping p99 {el_p99:.3f} ms (bound "
-            f"{p99_bound_ms:.0f} ms) {status}"
+    if "serve_conns_sustained_eventloop" not in metrics:
+        return failures, info
+    conns = float(metrics["serve_conns_sustained_eventloop"])
+    floor = float(
+        base.get("metrics", {}).get("serve_conns_sustained_eventloop", 0.0)
+    )
+    p99 = float(metrics.get("serve_conn_p99_ms_eventloop", 0.0))
+    conns_ok = conns >= floor
+    p99_ok = p99 <= p99_bound_ms
+    info.append(
+        f"{name}: daemon sustains {conns:.0f} conns (baseline {floor:.0f}) "
+        f"at ping p99 {p99:.3f} ms (bound {p99_bound_ms:.0f} ms) "
+        f"{'ok' if (conns_ok and p99_ok) else 'FAIL'}"
+    )
+    if not conns_ok:
+        failures.append(
+            f"{name}: serve capacity below baseline: sustained {conns:.0f} "
+            f"conns, baseline {floor:.0f}"
         )
-        if not ratio_ok:
-            failures.append(
-                f"{name}: serve capacity below floor: event loop sustained "
-                f"{el_conns:.0f} conns, only {ratio:.1f}x the "
-                f"thread-per-conn daemon ({tpc_conns:.0f}), need >= "
-                f"{min_conn_ratio:.0f}x"
-            )
-        if not p99_ok:
-            failures.append(
-                f"{name}: serve capacity p99 over bound: event-loop ping "
-                f"p99 {el_p99:.3f} ms exceeds {p99_bound_ms:.0f} ms — the "
-                f"sustained-connection count does not hold at bounded "
-                f"latency"
-            )
-    batch = float(metrics.get("serve_households_per_core_batch", 0.0))
-    stream = float(metrics.get("serve_households_per_core_stream", 0.0))
-    if batch > 0.0 and stream > 0.0:
-        speedup = batch / stream
-        cur_hw = cur.get("hardware_concurrency")
-        if cur_hw is not None and int(cur_hw) <= 1:
-            # On one core the reactor, the shard, and the client serialize,
-            # so the daemon's lane-batching payoff cannot be expressed —
-            # the same reasoning as the single-core skip in
-            # compare_scaling. Report the measured ratio but do not gate.
-            info.append(
-                f"{name}: SKIPPED batch-close gate — this run is on a "
-                f"single-core machine (hardware_concurrency={cur_hw}); "
-                f"measured {speedup:.2f}x"
-            )
-            return failures, info
-        ok = speedup >= min_batch_speedup
-        info.append(
-            f"{name}: batch-stepped closes {batch:.0f} household-days/s = "
-            f"{speedup:.2f}x the in-run stream figure ({stream:.0f}; floor "
-            f"{min_batch_speedup:.1f}x) {'ok' if ok else 'FAIL'}"
+    if not p99_ok:
+        failures.append(
+            f"{name}: serve capacity p99 over bound: ping p99 {p99:.3f} ms "
+            f"exceeds {p99_bound_ms:.0f} ms — the sustained-connection "
+            f"count does not hold at bounded latency"
         )
-        if not ok:
-            failures.append(
-                f"{name}: serve batch speedup below floor: "
-                f"{batch:.0f} household-days/s is only {speedup:.2f}x the "
-                f"same-run stream-close rate ({stream:.0f}), need >= "
-                f"{min_batch_speedup:.1f}x"
-            )
     return failures, info
 
 
@@ -338,8 +209,7 @@ def compare_metrics(name: str, base: dict, cur: dict, rtol: float) -> list:
         if key not in cur_metrics:
             failures.append(f"{name}: metric '{key}' missing from current run")
             continue
-        if (TIMING_METRIC.search(key) or SPEEDUP_METRIC.search(key)
-                or THROUGHPUT_METRIC.search(key)):
+        if TIMING_METRIC.search(key) or THROUGHPUT_METRIC.search(key):
             continue  # machine measurement: gated by the wall budget instead
         b, c = base_metrics[key], cur_metrics[key]
         if not close(float(b), float(c), rtol):
@@ -391,44 +261,11 @@ def main() -> int:
         help="skip the parallel-efficiency comparison",
     )
     parser.add_argument(
-        "--batch-speedup",
-        type=float,
-        default=2.0,
-        help="required batch_days_per_sec_w8 multiple of the baseline's "
-        "scalar days_per_sec, machine-ratio scaled (default 2.0)",
-    )
-    parser.add_argument(
-        "--batch-anchor-speedup",
-        type=float,
-        default=1.2,
-        help="required batch_days_per_sec_w8 multiple of the same run's "
-        "batch_scalar_days_per_sec anchor, unscaled (default 1.2)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="skip the lockstep-batch throughput comparison",
-    )
-    parser.add_argument(
-        "--serve-conn-ratio",
-        type=float,
-        default=10.0,
-        help="required serve_conns_sustained_eventloop multiple of the "
-        "same run's thread-per-conn figure (default 10)",
-    )
-    parser.add_argument(
         "--serve-p99-bound-ms",
         type=float,
         default=250.0,
-        help="event-loop ping p99 ceiling for the sustained-connection "
-        "claim, in milliseconds (default 250)",
-    )
-    parser.add_argument(
-        "--serve-batch-speedup",
-        type=float,
-        default=1.5,
-        help="required serve_households_per_core_batch multiple of the "
-        "same run's stream-close figure (default 1.5)",
+        help="ping p99 ceiling for the sustained-connection claim, in "
+        "milliseconds (default 250)",
     )
     parser.add_argument(
         "--no-serve",
@@ -473,7 +310,6 @@ def main() -> int:
 
     rows = []
     scaling_lines = []
-    batch_lines = []
     serve_lines = []
     for name in unbaselined:
         rows.append((name, "NO BASELINE", "-", "-"))
@@ -491,17 +327,9 @@ def main() -> int:
             )
             failures.extend(scaling_failures)
             scaling_lines.extend(info)
-        if not args.no_batch:
-            batch_failures, info = compare_batch(
-                name, base, cur, args.batch_speedup, machine_speedup,
-                args.batch_anchor_speedup
-            )
-            failures.extend(batch_failures)
-            batch_lines.extend(info)
         if not args.no_serve:
             serve_failures, info = compare_serve(
-                name, cur, args.serve_conn_ratio, args.serve_p99_bound_ms,
-                args.serve_batch_speedup
+                name, base, cur, args.serve_p99_bound_ms
             )
             failures.extend(serve_failures)
             serve_lines.extend(info)
@@ -529,15 +357,12 @@ def main() -> int:
         scaling_ok = not any(f.startswith(f"{name}: parallel efficiency") or
                              f.startswith(f"{name}: scaling ratio")
                              for f in failures)
-        batch_ok = not any(f.startswith(f"{name}: batch throughput")
-                           for f in failures)
         serve_ok = not any(f.startswith(f"{name}: serve")
                            for f in failures)
         rows.append(
             (
                 name,
-                "ok" if (wall_ok and metrics_ok and scaling_ok and batch_ok
-                         and serve_ok)
+                "ok" if (wall_ok and metrics_ok and scaling_ok and serve_ok)
                 else "FAIL",
                 f"{base_wall:.3f}s -> {cur_wall:.3f}s",
                 "ok" if metrics_ok else "drift",
@@ -556,12 +381,8 @@ def main() -> int:
         print("\nparallel efficiency (tN/t1 per-core throughput ratios):")
         for line in scaling_lines:
             print(f"  {line}")
-    if batch_lines:
-        print("\nlockstep-batch throughput (vs scalar baseline):")
-        for line in batch_lines:
-            print(f"  {line}")
     if serve_lines:
-        print("\nserving-path capacity (in-run pairs):")
+        print("\nserving-path capacity:")
         for line in serve_lines:
             print(f"  {line}")
 
@@ -585,22 +406,11 @@ def main() -> int:
                 )
                 for line in scaling_lines:
                     summary.write(f"- {line}\n")
-            if batch_lines:
-                summary.write(
-                    "\n**Lockstep-batch throughput** (W=8 gated at "
-                    f"{args.batch_speedup:.1f}x the scalar baseline and "
-                    f"{args.batch_anchor_speedup:.1f}x the in-run scalar "
-                    "anchor)\n\n"
-                )
-                for line in batch_lines:
-                    summary.write(f"- {line}\n")
             if serve_lines:
                 summary.write(
-                    "\n**Serving-path capacity** (event loop gated at "
-                    f"{args.serve_conn_ratio:.0f}x thread-per-conn "
-                    f"connections under {args.serve_p99_bound_ms:.0f} ms "
-                    f"ping p99; batch closes at "
-                    f"{args.serve_batch_speedup:.1f}x the stream rate)\n\n"
+                    "\n**Serving-path capacity** (sustained connections "
+                    "gated at the baseline count under "
+                    f"{args.serve_p99_bound_ms:.0f} ms ping p99)\n\n"
                 )
                 for line in serve_lines:
                     summary.write(f"- {line}\n")

@@ -4,9 +4,9 @@
 The gate is the only thing standing between a perf/correctness regression
 and a green checkmark, so its failure modes are pinned here: a bench
 without a committed baseline must fail (not silently skip), metric drift
-must respect the rtol and the timing/speedup/throughput exemptions, the
-wall budget must rescale with the measured machine-speed ratio, and the
-parallel-efficiency and batch-throughput gates must bite.
+must respect the rtol and the timing/throughput exemptions, the wall
+budget must rescale with the measured machine-speed ratio, and the
+parallel-efficiency and serve-capacity gates must bite.
 
 Run directly (CI lint job): python3 scripts/bench_compare_test.py
 """
@@ -121,15 +121,13 @@ class MetricDriftTest(GateHarness):
         self.assertIn("new metric", out)
 
     def test_measurement_keys_exempt_from_drift(self):
-        # Timing (_us/_ms), speedup ratios, and per_sec/per_core throughput
-        # rates move with the machine; only true simulation outputs are
-        # strictly gated.
+        # Timing (_us/_ms) and per_sec/per_core throughput rates move with
+        # the machine; only true simulation outputs are strictly gated.
         base = record(
             "serve",
             metrics={
                 "step_latency_p99_us": 10.0,
                 "dp_solve_ms_L16": 5.0,
-                "batch_speedup_w8": 3.0,
                 "serve_households_per_core": 100.0,
                 "serve_intervals_per_sec": 50000.0,
             },
@@ -139,7 +137,6 @@ class MetricDriftTest(GateHarness):
             metrics={
                 "step_latency_p99_us": 900.0,
                 "dp_solve_ms_L16": 500.0,
-                "batch_speedup_w8": 0.3,
                 "serve_households_per_core": 2.0,
                 "serve_intervals_per_sec": 400.0,
             },
@@ -261,167 +258,51 @@ class ScalingGateTest(GateHarness):
         self.assertIn("parallel efficiency regressed", out)
 
 
-class BatchGateTest(GateHarness):
-    def test_batch_below_speedup_floor_fails(self):
-        self.write(
-            self.baseline_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 2500.0,
-                },
-            ),
-        )
-        self.write(
-            self.current_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 1500.0,
-                },
-            ),
-        )
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0")
-        self.assertNotEqual(code, 0)
-        self.assertIn("batch throughput below floor", out)
-
-    def test_batch_above_floor_passes(self):
-        self.write(
-            self.baseline_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 2500.0,
-                },
-            ),
-        )
-        self.write(
-            self.current_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 2500.0,
-                },
-            ),
-        )
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0")
-        self.assertEqual(code, 0, out)
-
-    def test_batch_below_in_run_anchor_fails(self):
-        # The cross-machine floor passes (2.5x the committed scalar rate),
-        # but the same-run anchor says batching is slower than scalar.
-        rec_base = record(
-            "engine",
-            metrics={
-                "scalar_days_per_sec": 1000.0,
-                "batch_days_per_sec_w8": 2500.0,
-            },
-        )
-        rec_cur = record(
-            "engine",
-            metrics={
-                "scalar_days_per_sec": 1000.0,
-                "batch_scalar_days_per_sec": 3000.0,
-                "batch_days_per_sec_w8": 2500.0,
-            },
-        )
-        self.write(self.baseline_dir, rec_base)
-        self.write(self.current_dir, rec_cur)
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0",
-                                  "--batch-anchor-speedup", "1.2")
-        self.assertNotEqual(code, 0)
-        self.assertIn("in-run anchor floor", out)
-
-    def test_batch_above_in_run_anchor_passes(self):
-        rec = record(
-            "engine",
-            metrics={
-                "scalar_days_per_sec": 1000.0,
-                "batch_scalar_days_per_sec": 2000.0,
-                "batch_days_per_sec_w8": 2500.0,
-            },
-        )
-        self.write(self.baseline_dir, rec)
-        self.write(self.current_dir, rec)
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0",
-                                  "--batch-anchor-speedup", "1.2")
-        self.assertEqual(code, 0, out)
-        self.assertIn("in-run scalar anchor", out)
-
-
 class ServeGateTest(GateHarness):
-    def serve_record(self, el_conns=384.0, tpc_conns=32.0, el_p99=0.05,
-                     batch=900.0, stream=500.0, hardware=8):
-        rec = record(
+    def serve_record(self, conns=384.0, p99=0.05):
+        return record(
             "serve",
             metrics={
-                "serve_conns_sustained_eventloop": el_conns,
-                "serve_conns_sustained_threadperconn": tpc_conns,
-                "serve_conn_p99_ms_eventloop": el_p99,
-                "serve_conn_p99_ms_threadperconn": 0.02,
-                "serve_households_per_core_batch": batch,
-                "serve_households_per_core_stream": stream,
+                "serve_conns_sustained_eventloop": conns,
+                "serve_conn_p99_ms_eventloop": p99,
             },
         )
-        rec["hardware_concurrency"] = hardware
-        return rec
-
-    def both(self, rec):
-        self.write(self.baseline_dir, rec)
-        self.write(self.current_dir, rec)
 
     def test_healthy_serve_record_passes(self):
-        self.both(self.serve_record())
+        rec = self.serve_record()
+        self.write(self.baseline_dir, rec)
+        self.write(self.current_dir, rec)
         code, out = self.run_gate("--no-wall")
         self.assertEqual(code, 0, out)
-        self.assertIn("12.0x thread-per-conn", out)
+        self.assertIn("sustains 384 conns (baseline 384)", out)
 
-    def test_conn_ratio_below_floor_fails(self):
-        self.both(self.serve_record(el_conns=128.0))
+    def test_conns_below_baseline_fail(self):
+        # A small shortfall stays inside the drift rtol; the capacity gate
+        # alone must catch it.
+        self.write(self.baseline_dir, self.serve_record(conns=384.0))
+        self.write(self.current_dir, self.serve_record(conns=380.0))
         code, out = self.run_gate("--no-wall")
         self.assertNotEqual(code, 0)
-        self.assertIn("serve capacity below floor", out)
+        self.assertIn("serve capacity below baseline", out)
 
     def test_conn_p99_over_bound_fails(self):
-        # 12x the connections, but the latency claim behind the count no
+        # Every connection held, but the latency claim behind the count no
         # longer holds.
-        self.both(self.serve_record(el_p99=400.0))
+        self.write(self.baseline_dir, self.serve_record())
+        self.write(self.current_dir, self.serve_record(p99=400.0))
         code, out = self.run_gate("--no-wall")
         self.assertNotEqual(code, 0)
         self.assertIn("serve capacity p99 over bound", out)
 
-    def test_batch_speedup_below_floor_fails(self):
-        self.both(self.serve_record(batch=600.0, stream=500.0))
-        code, out = self.run_gate("--no-wall")
-        self.assertNotEqual(code, 0)
-        self.assertIn("serve batch speedup below floor", out)
-
-    def test_single_core_run_skips_batch_gate_but_not_conn_gate(self):
-        # One core serializes the reactor, the shard, and the client, so
-        # the lane-batching ratio is noise — but sustained connections are
-        # a capacity measure and must still gate.
-        self.both(self.serve_record(batch=500.0, stream=500.0, hardware=1))
-        code, out = self.run_gate("--no-wall")
-        self.assertEqual(code, 0, out)
-        self.assertIn("SKIPPED batch-close gate", out)
-        self.both(self.serve_record(el_conns=64.0, hardware=1))
-        code, out = self.run_gate("--no-wall")
-        self.assertNotEqual(code, 0)
-        self.assertIn("serve capacity below floor", out)
-
-    def test_custom_floors_apply(self):
-        rec = self.serve_record(el_conns=160.0, batch=600.0)
-        self.both(rec)
-        code, out = self.run_gate("--no-wall", "--serve-conn-ratio", "4",
-                                  "--serve-batch-speedup", "1.1")
+    def test_custom_p99_bound_applies(self):
+        self.write(self.baseline_dir, self.serve_record())
+        self.write(self.current_dir, self.serve_record(p99=400.0))
+        code, out = self.run_gate("--no-wall", "--serve-p99-bound-ms", "500")
         self.assertEqual(code, 0, out)
 
     def test_no_serve_skips_the_gate(self):
-        self.both(self.serve_record(el_conns=32.0, batch=100.0))
+        self.write(self.baseline_dir, self.serve_record(conns=384.0))
+        self.write(self.current_dir, self.serve_record(conns=380.0, p99=400.0))
         code, out = self.run_gate("--no-wall", "--no-serve")
         self.assertEqual(code, 0, out)
 

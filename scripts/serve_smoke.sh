@@ -2,14 +2,10 @@
 # CI smoke for the online metering daemon (rlblh_serve + load_gen).
 #
 # Proves the deployment-shaped version of the repo's bitwise-resume
-# guarantee, once per threading mode (event-loop reactor and the
-# thread-per-connection compat model): a daemon SIGKILLed mid-run and
-# restarted from its checkpoint directory must end a fleet run with
-# checkpoint files byte-identical to a daemon that was never interrupted.
-# Also exercises the graceful SIGTERM drain (checkpoint-then-exit, clean
-# exit code) on every daemon, and finally compares the two modes' reference
-# checkpoints byte for byte against EACH OTHER — the two serving models
-# must be indistinguishable on disk.
+# guarantee: a daemon SIGKILLed mid-run and restarted from its checkpoint
+# directory must end a fleet run with checkpoint files byte-identical to a
+# daemon that was never interrupted. Also exercises the graceful SIGTERM
+# drain (checkpoint-then-exit, clean exit code) on every daemon.
 #
 # Usage: scripts/serve_smoke.sh [BUILD_DIR] [HOUSEHOLDS] [DAYS]
 set -euo pipefail
@@ -34,11 +30,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Starts a daemon named $1 in threading mode $2 over checkpoint dir $3 and
-# waits for its listen line. Sets DAEMON_PID and SOCK.
+# Starts a daemon named $1 over checkpoint dir $2 and waits for its listen
+# line. Sets DAEMON_PID and SOCK.
 start_daemon() {
   SOCK="$WORK/$1.sock"
-  "$SERVE" --listen "unix:$SOCK" --threading "$2" --checkpoint-dir "$3" \
+  "$SERVE" --listen "unix:$SOCK" --checkpoint-dir "$2" \
     > "$WORK/$1.log" 2>&1 &
   DAEMON_PID=$!
   for _ in $(seq 1 200); do
@@ -54,67 +50,6 @@ start_daemon() {
 run_fleet() {
   "$LOAD_GEN" --endpoint "unix:$SOCK" --households "$HOUSEHOLDS" \
     --days "$DAYS" --seed-base "$SEED_BASE" --threads "$THREADS"
-}
-
-# The full reference + kill/restart differential for one threading mode.
-run_mode() {
-  local mode="$1"
-
-  echo "== [$mode] reference run: $HOUSEHOLDS households x $DAYS days, no interruption"
-  start_daemon "${mode}_ref" "$mode" "$WORK/${mode}_ref_ckpt"
-  run_fleet
-  kill -TERM "$DAEMON_PID"
-  wait "$DAEMON_PID" || { echo "error: [$mode] reference daemon drain failed" >&2; exit 1; }
-  grep -q "stopped cleanly" "$WORK/${mode}_ref.log" || {
-    echo "error: [$mode] reference daemon did not drain cleanly" >&2
-    cat "$WORK/${mode}_ref.log" >&2
-    exit 1
-  }
-  DAEMON_PID=""
-
-  echo "== [$mode] interrupted run: SIGKILL the daemon mid-fleet, restart, resume"
-  start_daemon "${mode}_victim" "$mode" "$WORK/${mode}_victim_ckpt"
-  run_fleet > "$WORK/${mode}_leg1_load_gen.log" 2>&1 &
-  LOADGEN_PID=$!
-  # Kill once half the fleet has its first day-close checkpoint on disk:
-  # the daemon dies with some households done, some mid-day, some
-  # unstarted — independent of machine speed.
-  local want n
-  want=$(( (HOUSEHOLDS + 1) / 2 ))
-  for _ in $(seq 1 1000); do
-    n=$(ls "$WORK/${mode}_victim_ckpt" 2>/dev/null | wc -l)
-    [ "$n" -ge "$want" ] && break
-    sleep 0.01
-  done
-  kill -9 "$DAEMON_PID"
-  DAEMON_PID=""
-  # The generator is doomed (its daemon is gone mid-backoff); reap it.
-  kill "$LOADGEN_PID" 2>/dev/null || true
-  wait "$LOADGEN_PID" 2>/dev/null || true
-
-  start_daemon "${mode}_victim2" "$mode" "$WORK/${mode}_victim_ckpt"
-  # Resume: re-Hello, pick up each household's checkpoint cursor, replay
-  # the lost tail. The JSON record proves the leg actually had work to
-  # redo.
-  "$LOAD_GEN" --endpoint "unix:$SOCK" --households "$HOUSEHOLDS" \
-    --days "$DAYS" --seed-base "$SEED_BASE" --threads "$THREADS" \
-    --json "$WORK/${mode}_resume.json"
-  python3 - "$WORK/${mode}_resume.json" <<'EOF'
-import json, sys
-record = json.load(open(sys.argv[1]))
-assert record["days_completed"] > 0, \
-    "resume leg replayed nothing - the kill landed after the fleet finished"
-print(f"resume leg replayed {record['days_completed']} household-days "
-      f"({record['reconnects']} reconnects, "
-      f"{record['draining_waits']} draining waits)")
-EOF
-  kill -TERM "$DAEMON_PID"
-  wait "$DAEMON_PID" || { echo "error: [$mode] restarted daemon drain failed" >&2; exit 1; }
-  DAEMON_PID=""
-
-  echo "== [$mode] comparing checkpoint files byte for byte"
-  compare_ckpt_dirs "$WORK/${mode}_ref_ckpt" "$WORK/${mode}_victim_ckpt" \
-    "[$mode] kill/restart"
 }
 
 # Byte-compares checkpoint dirs $1 and $2 for every household; label $3.
@@ -134,11 +69,58 @@ compare_ckpt_dirs() {
   fi
 }
 
-run_mode event-loop
-run_mode thread-per-conn
+echo "== reference run: $HOUSEHOLDS households x $DAYS days, no interruption"
+start_daemon "ref" "$WORK/ref_ckpt"
+run_fleet
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID" || { echo "error: reference daemon drain failed" >&2; exit 1; }
+grep -q "stopped cleanly" "$WORK/ref.log" || {
+  echo "error: reference daemon did not drain cleanly" >&2
+  cat "$WORK/ref.log" >&2
+  exit 1
+}
+DAEMON_PID=""
 
-echo "== comparing event-loop vs thread-per-conn reference checkpoints"
-compare_ckpt_dirs "$WORK/event-loop_ref_ckpt" "$WORK/thread-per-conn_ref_ckpt" \
-  "cross-mode"
+echo "== interrupted run: SIGKILL the daemon mid-fleet, restart, resume"
+start_daemon "victim" "$WORK/victim_ckpt"
+run_fleet > "$WORK/leg1_load_gen.log" 2>&1 &
+LOADGEN_PID=$!
+# Kill once half the fleet has its first day-close checkpoint on disk:
+# the daemon dies with some households done, some mid-day, some
+# unstarted — independent of machine speed.
+want=$(( (HOUSEHOLDS + 1) / 2 ))
+for _ in $(seq 1 1000); do
+  n=$(ls "$WORK/victim_ckpt" 2>/dev/null | wc -l)
+  [ "$n" -ge "$want" ] && break
+  sleep 0.01
+done
+kill -9 "$DAEMON_PID"
+DAEMON_PID=""
+# The generator is doomed (its daemon is gone mid-backoff); reap it.
+kill "$LOADGEN_PID" 2>/dev/null || true
+wait "$LOADGEN_PID" 2>/dev/null || true
 
-echo "serve_smoke: OK — $HOUSEHOLDS households bitwise-identical after kill/restart in both threading modes, and across modes"
+start_daemon "victim2" "$WORK/victim_ckpt"
+# Resume: re-Hello, pick up each household's checkpoint cursor, replay
+# the lost tail. The JSON record proves the leg actually had work to
+# redo.
+"$LOAD_GEN" --endpoint "unix:$SOCK" --households "$HOUSEHOLDS" \
+  --days "$DAYS" --seed-base "$SEED_BASE" --threads "$THREADS" \
+  --json "$WORK/resume.json"
+python3 - "$WORK/resume.json" <<'EOF'
+import json, sys
+record = json.load(open(sys.argv[1]))
+assert record["days_completed"] > 0, \
+    "resume leg replayed nothing - the kill landed after the fleet finished"
+print(f"resume leg replayed {record['days_completed']} household-days "
+      f"({record['reconnects']} reconnects, "
+      f"{record['draining_waits']} draining waits)")
+EOF
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID" || { echo "error: restarted daemon drain failed" >&2; exit 1; }
+DAEMON_PID=""
+
+echo "== comparing checkpoint files byte for byte"
+compare_ckpt_dirs "$WORK/ref_ckpt" "$WORK/victim_ckpt" "kill/restart"
+
+echo "serve_smoke: OK — $HOUSEHOLDS households bitwise-identical after kill/restart"

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <span>
 #include <string_view>
 
 #include "core/policy.h"
@@ -72,16 +71,6 @@ class PassthroughPolicy final : public BlhPolicy {
     return 0.0;  // ignored: the simulator substitutes x_n for passthrough
   }
   void observe_block(std::size_t /*n0*/, ConstTraceLane /*usage*/) override {}
-
-  // Lane-native batch entry points: nothing to decide or learn per lane.
-  void fill_lanes(std::span<BlhPolicy* const> lanes, std::size_t /*n0*/,
-                  std::size_t /*width*/, const double* /*levels*/,
-                  double* y_out) override {
-    for (std::size_t k = 0; k < lanes.size(); ++k) y_out[k] = 0.0;
-  }
-  void observe_lanes(std::span<BlhPolicy* const> /*lanes*/,
-                     std::size_t /*n0*/, const LaneBlock& /*usage*/) override {
-  }
 };
 
 }  // namespace rlblh

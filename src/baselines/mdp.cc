@@ -230,22 +230,4 @@ void MdpBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   if (n0 + usage.size() == config_.intervals_per_day) day_open_ = false;
 }
 
-void MdpBlhPolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
-                              std::size_t n0, std::size_t width,
-                              const double* levels, double* y_out) {
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    // Devirtualized per lane (the class is final); the lookup is draw-free
-    // so lane order carries no RNG obligation.
-    y_out[k] = static_cast<MdpBlhPolicy&>(*lanes[k])
-                   .fill_block(n0, width, levels[k]);
-  }
-}
-
-void MdpBlhPolicy::observe_lanes(std::span<BlhPolicy* const> lanes,
-                                 std::size_t n0, const LaneBlock& usage) {
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    static_cast<MdpBlhPolicy&>(*lanes[k]).observe_block(n0, usage.lane(k));
-  }
-}
-
 }  // namespace rlblh

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -83,14 +82,6 @@ class MdpBlhPolicy final : public BlhPolicy {
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override;
   void observe_block(std::size_t n0, ConstTraceLane usage) override;
-
-  // Lane-native batch entry points (engine contract: every lane is an
-  // MdpBlhPolicy). Draw-free table lookups, devirtualized per lane.
-  void fill_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                  std::size_t width, const double* levels,
-                  double* y_out) override;
-  void observe_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                     const LaneBlock& usage) override;
 
   /// Configuration in effect.
   const MdpConfig& config() const { return config_; }

@@ -78,34 +78,4 @@ void RandomPulsePolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   }
 }
 
-void RandomPulsePolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
-                                   std::size_t n0, std::size_t width,
-                                   const double* levels, double* y_out) {
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    // Devirtualized per lane (the class is final); each lane's engine sees
-    // exactly the one draw its scalar fill_block would make.
-    y_out[k] = static_cast<RandomPulsePolicy&>(*lanes[k])
-                   .fill_block(n0, width, levels[k]);
-  }
-}
-
-void RandomPulsePolicy::observe_lanes(std::span<BlhPolicy* const> lanes,
-                                      std::size_t n0, const LaneBlock& usage) {
-  // observe_block only validates, so the lane loop collapses to the same
-  // range checks plus one contiguous pass over the interval-major block —
-  // every value still hits the identical >= 0 requirement, without W
-  // strided walks. (On invalid data the failing REQUIRE can differ from
-  // the per-lane default's, but both paths throw.)
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    const auto& lane = static_cast<const RandomPulsePolicy&>(*lanes[k]);
-    RLBLH_REQUIRE(n0 + usage.width <= lane.config_.intervals_per_day,
-                  "RandomPulsePolicy: block out of range");
-  }
-  const double* values = usage.data;
-  const std::size_t count = usage.width * usage.lanes;
-  for (std::size_t i = 0; i < count; ++i) {
-    RLBLH_REQUIRE(values[i] >= 0.0, "RandomPulsePolicy: bad observation");
-  }
-}
-
 }  // namespace rlblh

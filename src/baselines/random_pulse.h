@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -40,15 +39,6 @@ class RandomPulsePolicy final : public BlhPolicy {
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override;
   void observe_block(std::size_t n0, ConstTraceLane usage) override;
-
-  // Lane-native batch entry points (engine contract: every lane is a
-  // RandomPulsePolicy). Each lane draws its pulse from its own engine, in
-  // lane order — per lane exactly the fill_block draw sequence.
-  void fill_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                  std::size_t width, const double* levels,
-                  double* y_out) override;
-  void observe_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                     const LaneBlock& usage) override;
 
   /// Same feasibility rule as RL-BLH (Section III-B).
   std::vector<std::size_t> allowed_actions(double battery_level) const;

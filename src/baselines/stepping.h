@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string_view>
 
 #include "core/policy.h"
@@ -55,26 +54,6 @@ class SteppingPolicy final : public BlhPolicy {
   void observe_block(std::size_t n0, ConstTraceLane usage) override {
     for (std::size_t i = 0; i < usage.size(); ++i) {
       observe_usage(n0 + i, usage[i]);
-    }
-  }
-
-  // Lane-native batch entry points (engine contract: every lane is a
-  // SteppingPolicy). Draw-free policy, so lane-native just means one
-  // virtual call with devirtualized per-lane bodies.
-  void fill_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                  std::size_t width, const double* levels,
-                  double* y_out) override {
-    (void)width;
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      y_out[k] =
-          static_cast<SteppingPolicy&>(*lanes[k]).reading(n0, levels[k]);
-    }
-  }
-  void observe_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                     const LaneBlock& usage) override {
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      static_cast<SteppingPolicy&>(*lanes[k])
-          .observe_block(n0, usage.lane(k));
     }
   }
 

@@ -36,33 +36,4 @@ void Battery::restore(double level_kwh, std::size_t violations,
   grid_extra_ = grid_extra_kwh;
 }
 
-void BatteryLanes::reset(std::size_t width, double capacity_kwh,
-                         double initial_level_kwh, double charge_efficiency,
-                         double discharge_efficiency) {
-  RLBLH_REQUIRE(width >= 1, "BatteryLanes: need at least one lane");
-  RLBLH_REQUIRE(capacity_kwh > 0.0, "BatteryLanes: capacity must be > 0");
-  RLBLH_REQUIRE(
-      initial_level_kwh >= 0.0 && initial_level_kwh <= capacity_kwh,
-      "BatteryLanes: initial level must be in [0, capacity]");
-  RLBLH_REQUIRE(charge_efficiency > 0.0 && charge_efficiency <= 1.0,
-                "BatteryLanes: charge efficiency must be in (0, 1]");
-  RLBLH_REQUIRE(discharge_efficiency > 0.0 && discharge_efficiency <= 1.0,
-                "BatteryLanes: discharge efficiency must be in (0, 1]");
-  capacity_ = capacity_kwh;
-  charge_eff_ = charge_efficiency;
-  discharge_eff_ = discharge_efficiency;
-  levels_.assign(width, initial_level_kwh);
-  violations_.assign(width, 0);
-}
-
-double BatteryLanes::level(std::size_t k) const {
-  RLBLH_REQUIRE(k < levels_.size(), "BatteryLanes: lane out of range");
-  return levels_[k];
-}
-
-std::size_t BatteryLanes::violation_count(std::size_t k) const {
-  RLBLH_REQUIRE(k < violations_.size(), "BatteryLanes: lane out of range");
-  return violations_[k];
-}
-
 }  // namespace rlblh

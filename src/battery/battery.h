@@ -16,88 +16,10 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "util/error.h"
 
 namespace rlblh {
-
-/// Outcome of one branch-free lane step (see battery_lane_step).
-struct BatteryLaneStep {
-  double level_after = 0.0;  ///< battery level after the step (kWh)
-  double grid_extra = 0.0;   ///< unmet usage served directly from grid (kWh)
-  bool violated = false;     ///< true when either bound clipped the transfer
-};
-
-/// The arithmetic core of Battery::step as straight-line, branch-free
-/// expressions — the form the batch engine's lane loop needs so W lanes
-/// vectorize. Bit-identical to Battery::step for every input Battery::step
-/// accepts (capacity > 0 makes the two clips mutually exclusive: a sum
-/// above capacity cannot also be below zero, so the select chain below
-/// reproduces the if/else-if exactly, including the sign of every zero —
-/// battery_lanes_test pins this against the branching form). `reading` and
-/// `usage` must be >= 0; the caller validates once per block, not per lane
-/// step.
-inline BatteryLaneStep battery_lane_step(double level, double reading,
-                                         double usage, double capacity,
-                                         double charge_eff,
-                                         double discharge_eff) {
-  BatteryLaneStep out;
-  const double delta = charge_eff * reading - usage / discharge_eff;
-  const double next = level + delta;
-  const bool over = next > capacity;
-  const bool under = next < 0.0;
-  out.grid_extra = under ? -next * discharge_eff : 0.0;
-  out.level_after = over ? capacity : (under ? 0.0 : next);
-  out.violated = over || under;
-  return out;
-}
-
-/// Structure-of-arrays battery state for W lockstep households sharing one
-/// battery model (capacity, efficiencies, initial level) — the batch
-/// engine's counterpart of constructing W identical Battery objects. Levels
-/// and violation counters live in contiguous per-lane arrays; the engine
-/// steps them with battery_lane_step so the whole lane dimension
-/// vectorizes. Total wasted charge / grid extra are not tracked per lane
-/// (no batch consumer reads them); per-day violation counts come from
-/// differencing the counters around a day.
-class BatteryLanes {
- public:
-  BatteryLanes() = default;
-
-  /// (Re)initializes `width` lanes, each with the given capacity (> 0),
-  /// initial level in [0, capacity] and efficiencies in (0, 1] — the same
-  /// validation as the Battery constructor. Buffers are reused when the
-  /// width matches the previous run's.
-  void reset(std::size_t width, double capacity_kwh, double initial_level_kwh,
-             double charge_efficiency = 1.0, double discharge_efficiency = 1.0);
-
-  /// Number of lanes (0 before the first reset).
-  std::size_t width() const { return levels_.size(); }
-
-  double capacity() const { return capacity_; }
-  double charge_efficiency() const { return charge_eff_; }
-  double discharge_efficiency() const { return discharge_eff_; }
-
-  /// Per-lane state of charge, kWh; always within [0, capacity()].
-  double* levels() { return levels_.data(); }
-  const double* levels() const { return levels_.data(); }
-
-  /// Per-lane count of clipped steps since reset.
-  std::size_t* violations() { return violations_.data(); }
-  const std::size_t* violations() const { return violations_.data(); }
-
-  /// Lane k's level / violation count (bounds-checked conveniences).
-  double level(std::size_t k) const;
-  std::size_t violation_count(std::size_t k) const;
-
- private:
-  double capacity_ = 0.0;
-  double charge_eff_ = 1.0;
-  double discharge_eff_ = 1.0;
-  std::vector<double> levels_;
-  std::vector<std::size_t> violations_;
-};
 
 /// Outcome of one measurement-interval battery step.
 struct BatteryStep {

@@ -28,28 +28,10 @@
 //     policy.end_day();
 //
 // with W = pulse_width() and blocks tiling [0, n_M) in order.
-//
-// Lockstep batch driving: the block protocol is also the batched policy
-// entry point, and it is lane-native. BatchEngine advances W same-blueprint
-// policy instances through one day in lockstep; per block it makes ONE
-// fill_lanes() call (on lane 0, with the whole lane span) that decides all
-// W pulse heights, steps all W batteries as structure-of-arrays, then ONE
-// observe_lanes() call with an interval-major view of the block's usage —
-// O(n_M / n_D) virtual calls per batch day instead of O(W * n_M / n_D).
-// The default lane entry points loop fill_block/observe_block per lane, so
-// a policy needs nothing new to run batched; policies on the fleet hot
-// path override them natively (devirtualized per-lane work, lane-batched
-// RNG draws). Instances are independent (separate RNGs, separate state),
-// so inter-lane order is free while each lane still sees exactly the
-// scalar call sequence above — which is what makes a batch lane
-// bit-identical to a scalar run. A policy that advertises
-// pulse_width() == 0 (no block support) simply falls back to the scalar
-// per-interval engine, batched or not.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -60,27 +42,6 @@
 namespace rlblh {
 
 class BlhPolicy;
-
-/// Interval-major usage view of one pulse block across every lane of a
-/// batch day: lane k's value for interval n0 + i lives at
-/// data[i * lanes + k]. This is the shape the batch engine's SoA usage
-/// buffer already has, so observe_lanes() reads it without any per-lane
-/// copy; lane(k) carves out one household's strided series.
-struct LaneBlock {
-  const double* data = nullptr;  ///< slot of (first interval, lane 0)
-  std::size_t lanes = 0;         ///< W — also the per-interval stride
-  std::size_t width = 0;         ///< block width in intervals
-
-  /// Lane k's usage over the block, as a strided read-only series.
-  ConstTraceLane lane(std::size_t k) const {
-    return ConstTraceLane(data + k, lanes, width);
-  }
-
-  /// Usage of lane k at block-relative interval i.
-  double at(std::size_t i, std::size_t k) const {
-    return data[i * lanes + k];
-  }
-};
 
 /// Abstract battery-control policy (one instance controls one household).
 class BlhPolicy {
@@ -125,46 +86,14 @@ class BlhPolicy {
   }
 
   /// Reports the realized usage of the whole block [n0, n0 + usage.size())
-  /// after it completed. The view may be strided (one lane of a batch
-  /// day's interval-major buffer) or contiguous — a DayTrace or span
-  /// converts implicitly. The default forwards to observe_usage() per
-  /// interval; overrides must be observably identical to that loop.
+  /// after it completed. The view may be strided or contiguous — a
+  /// DayTrace or span converts implicitly. The default forwards to
+  /// observe_usage() per interval; overrides must be observably identical
+  /// to that loop.
   /// (Defined out of line on purpose: with the body visible, the scalar
   /// engine's per-block call gets speculatively devirtualized against the
   /// default, which pessimizes every policy that overrides it.)
   virtual void observe_block(std::size_t n0, ConstTraceLane usage);
-
-  // --- lane-native batch protocol --------------------------------------
-  //
-  // One virtual call serves all W lanes of a lockstep batch. The engine
-  // only calls these on lanes[0] after verifying every lane shares
-  // lanes[0]'s name(), pulse_width() and passthrough() — so a native
-  // override may static_cast its peers to its own concrete type. The
-  // defaults loop the scalar block calls per lane, preserving today's
-  // exact call and RNG order; native overrides must keep each lane's own
-  // engine seeing its draws in exactly the scalar order (interleaving
-  // *across* lanes is free, reordering *within* a lane is not).
-
-  /// Decides the pulse height of block [n0, n0 + width) for every lane:
-  /// y_out[k] = lane k's grid draw, given battery level levels[k]. Both
-  /// arrays have lanes.size() entries; lanes[k] is the policy instance of
-  /// lane k (lanes[0] == this).
-  virtual void fill_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                          std::size_t width, const double* levels,
-                          double* y_out) {
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      y_out[k] = lanes[k]->fill_block(n0, width, levels[k]);
-    }
-  }
-
-  /// Reports the realized usage of block [n0, n0 + usage.width) for every
-  /// lane at once, as an interval-major view (usage.lanes == lanes.size()).
-  virtual void observe_lanes(std::span<BlhPolicy* const> lanes,
-                             std::size_t n0, const LaneBlock& usage) {
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      lanes[k]->observe_block(n0, usage.lane(k));
-    }
-  }
 
   /// Short stable identifier, e.g. "rl-blh" or "low-pass".
   virtual std::string_view name() const = 0;

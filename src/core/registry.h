@@ -24,18 +24,33 @@
 // to rlblh_core.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "util/error.h"
 
 namespace rlblh {
+
+/// Parses a decimal unsigned integer that fits in 64 bits: one or more
+/// ASCII digits and nothing else — no sign, no whitespace, no trailing
+/// junk. The one integer rule for spec values and command-line flags.
+inline std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// Ordered key -> value parameter bag of one spec (or one component's slice
 /// of a spec). Keys are unique; insertion order is preserved for canonical
@@ -104,15 +119,11 @@ class SpecParams {
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const std::string* value = find(key);
     if (value == nullptr) return fallback;
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long parsed = std::stoull(*value, &consumed);
-      if (consumed != value->size()) throw std::invalid_argument(*value);
-      return static_cast<std::uint64_t>(parsed);
-    } catch (const std::exception&) {
-      throw ConfigError("spec key '" + key + "': '" + *value +
-                        "' is not a non-negative integer");
+    if (const std::optional<std::uint64_t> parsed = parse_u64(*value)) {
+      return *parsed;
     }
+    throw ConfigError("spec key '" + key + "': '" + *value +
+                      "' is not a non-negative integer");
   }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
     return static_cast<std::size_t>(get_u64(key, fallback));

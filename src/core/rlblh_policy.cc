@@ -265,9 +265,7 @@ void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   // S_k(a) accumulation (paper Eq. 7): the same expression and the same
   // per-interval += order as observe_usage(), with the loop-invariant rate
   // lookup and pulse magnitude hoisted (identical values, identical FP op
-  // sequence, so the accumulated sum is bitwise equal). The view may be a
-  // strided lane of the batch engine's interval-major day — only the load
-  // addresses differ from the contiguous case.
+  // sequence, so the accumulated sum is bitwise equal).
   const double magnitude = magnitudes_[pending_action_];
   const double* const rates = prices_->rates().data();
   const double* const values = usage.data();
@@ -281,80 +279,6 @@ void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   }
   pending_savings_ = pending;
   next_observe_n_ = n0 + usage.size();
-}
-
-void RlBlhPolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
-                             std::size_t n0, std::size_t width,
-                             const double* levels, double* y_out) {
-  const std::size_t w = lanes.size();
-  lane_rngs_.resize(w);
-  lane_eps_.resize(w);
-  lane_coins_.resize(w);
-  lane_allowed_.resize(w);
-  lane_greedy_.resize(w);
-
-  // Phase 1, per lane: the pre-coin half of decide() — validation, the
-  // pending decision's finalize (its bernoulli under double-Q drawn from
-  // the lane's own engine, in its scalar stream position) and the greedy
-  // argmax.
-  for (std::size_t k = 0; k < w; ++k) {
-    auto& lane = static_cast<RlBlhPolicy&>(*lanes[k]);
-    const double battery_level = levels[k];
-    RLBLH_REQUIRE(lane.day_open_,
-                  "RlBlhPolicy: fill_lanes() before begin_day()");
-    RLBLH_REQUIRE(n0 == lane.next_reading_n_ && n0 == lane.next_observe_n_,
-                  "RlBlhPolicy: blocks must be requested in interval order");
-    RLBLH_REQUIRE(n0 % lane.config_.decision_interval == 0,
-                  "RlBlhPolicy: block must start on a decision boundary");
-    const std::size_t kk = n0 / lane.config_.decision_interval;
-    RLBLH_REQUIRE(width == lane.config_.decision_width(kk),
-                  "RlBlhPolicy: block width must match the decision width");
-    if (n0 == 0) lane.initial_level_today_ = battery_level;
-    const double alpha_now = lane.current_alpha();
-    const Features features = lane.basis_.at(kk, battery_level);
-    const auto& allowed = lane.allowed_actions(battery_level);
-    lane.evaluate_actions(features);
-    if (lane.pending_active_) {
-      lane.finalize_pending(&features, allowed, alpha_now);
-    }
-    lane_eps_[k] = lane.exploration_ ? lane.current_epsilon() : 0.0;
-    lane_allowed_[k] = &allowed;
-    lane_greedy_[k] = lane.greedy_action(allowed);
-    lane.pending_features_ = features;
-    lane_rngs_[k] = &lane.rng_;
-  }
-
-  // Phase 2: every lane's epsilon coin in one lane-batched pass.
-  fill_uniform_lanes(lane_rngs_, lane_coins_);
-
-  // Phase 3, per lane: resolve epsilon-greedy (exploring lanes draw their
-  // index from their own engine, right after their coin — the scalar
-  // order) and publish the pending decision.
-  for (std::size_t k = 0; k < w; ++k) {
-    auto& lane = static_cast<RlBlhPolicy&>(*lanes[k]);
-    const std::vector<std::size_t>& allowed = *lane_allowed_[k];
-    std::size_t chosen = lane_greedy_[k];
-    if (lane_coins_[k] < lane_eps_[k]) {
-      const auto i = static_cast<std::size_t>(
-          lane.rng_.uniform_int(0, static_cast<int>(allowed.size() - 1)));
-      chosen = allowed[i];
-    }
-    lane.pending_explored_ = chosen != lane_greedy_[k];
-    lane.pending_active_ = true;
-    lane.pending_action_ = chosen;
-    lane.pending_savings_ = 0.0;
-    lane.next_reading_n_ = n0 + width;
-    y_out[k] = lane.magnitudes_[chosen];
-  }
-}
-
-void RlBlhPolicy::observe_lanes(std::span<BlhPolicy* const> lanes,
-                                std::size_t n0, const LaneBlock& usage) {
-  // One virtual call for the block; the per-lane observes devirtualize
-  // (RlBlhPolicy is final) and read their strided lane views in place.
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    static_cast<RlBlhPolicy&>(*lanes[k]).observe_block(n0, usage.lane(k));
-  }
 }
 
 void RlBlhPolicy::end_day() {
@@ -395,7 +319,7 @@ void RlBlhPolicy::end_day() {
 
   // Per-interval statistics feed the SYN heuristic. The buffer was already
   // validated interval by interval as it was observed, so a view suffices —
-  // no day-sized copy on the batch hot path.
+  // no day-sized copy per day.
   stats_.observe_day(ConstTraceLane(today_usage_.data(), 1,
                                     today_usage_.size()),
                      rng_);

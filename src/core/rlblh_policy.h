@@ -15,7 +15,6 @@
 #include <array>
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -57,18 +56,6 @@ class RlBlhPolicy final : public BlhPolicy {
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override;
   void observe_block(std::size_t n0, ConstTraceLane usage) override;
-
-  // Lane-native batch entry points (engine contract: every element of
-  // `lanes` is an RlBlhPolicy and lanes[0] == this). One virtual call
-  // decides/observes all W lanes; per lane the arithmetic and its RNG draw
-  // order are exactly fill_block/observe_block's, with every lane's
-  // epsilon coin drawn in one lane-batched pass (each from its own
-  // engine, in its scalar stream position).
-  void fill_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                  std::size_t width, const double* levels,
-                  double* y_out) override;
-  void observe_lanes(std::span<BlhPolicy* const> lanes, std::size_t n0,
-                     const LaneBlock& usage) override;
 
   // Checkpoint/restore (DESIGN.md §15). Persists everything that shapes
   // future behavior — both weight tables, the RNG stream, the usage
@@ -248,14 +235,6 @@ class RlBlhPolicy final : public BlhPolicy {
   std::size_t episodes_ = 0;  ///< completed inner-loop runs (real + virtual)
   std::vector<RlBlhDayStats> day_stats_;
 
-  // fill_lanes scratch, alive only on the instance the batch engine calls
-  // (lane 0). Not part of the behavioral state: never checkpointed, never
-  // read across calls.
-  std::vector<Rng*> lane_rngs_;
-  std::vector<double> lane_eps_;
-  std::vector<double> lane_coins_;
-  std::vector<const std::vector<std::size_t>*> lane_allowed_;
-  std::vector<std::size_t> lane_greedy_;
 };
 
 }  // namespace rlblh

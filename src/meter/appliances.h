@@ -73,11 +73,9 @@ class Appliance {
   /// Model name (stable identifier used in events).
   const std::string& name() const { return name_; }
 
-  /// Adds this appliance's consumption for one day into `trace` — a strided
-  /// lane view, so the same generator serves a standalone DayTrace (which
-  /// converts implicitly) and one SoA lane of the batch engine — clamping
-  /// each interval at `cap` (kWh). When `events` is non-null, appends one
-  /// record per contiguous activation.
+  /// Adds this appliance's consumption for one day into `trace` (a DayTrace
+  /// converts implicitly), clamping each interval at `cap` (kWh). When
+  /// `events` is non-null, appends one record per contiguous activation.
   virtual void generate(const Occupancy& occ, Rng& rng, TraceLane trace,
                         double cap,
                         std::vector<ApplianceEvent>* events) const = 0;

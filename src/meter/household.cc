@@ -90,59 +90,13 @@ void HouseholdModel::generate_day_into(DayTrace& out,
                                        std::vector<ApplianceEvent>* events,
                                        Occupancy* occupancy) {
   out.assign_zero(config_.intervals);
-  generate_into_zeroed(TraceLane(out), events, occupancy);
-}
-
-void HouseholdModel::generate_day_into_lane(TraceLane out,
-                                            std::vector<ApplianceEvent>* events,
-                                            Occupancy* occupancy) {
-  RLBLH_REQUIRE(out.intervals() == config_.intervals,
-                "HouseholdModel: lane length must match the day length");
-  out.fill_zero();
-  generate_into_zeroed(out, events, occupancy);
-}
-
-// The single generation sequence both entry points share: the occupancy
-// draws and the appliance order define the model's RNG stream, so running
-// them through one code path is what keeps a batch lane bit-identical to a
-// scalar day. `out` must already be zeroed.
-void HouseholdModel::generate_into_zeroed(TraceLane out,
-                                          std::vector<ApplianceEvent>* events,
-                                          Occupancy* occupancy) {
+  // The occupancy draws and the appliance order define the model's RNG
+  // stream.
   const Occupancy occ = sample_occupancy();
   if (occupancy != nullptr) *occupancy = occ;
+  const TraceLane lane(out);
   for (const auto& appliance : appliances_) {
-    appliance->generate(occ, rng_, out, config_.usage_cap, events);
-  }
-}
-
-void HouseholdTraceSource::next_days_into_lanes(
-    std::span<TraceSource* const> sources, double* data,
-    std::size_t intervals) {
-  const std::size_t width = sources.size();
-  RLBLH_REQUIRE(width >= 1, "HouseholdTraceSource: need at least one lane");
-  // Stage contiguously: every lane's generation (occupancy draws + the full
-  // appliance read-modify-write composition) runs against its own day-sized
-  // buffer instead of a strided lane of the W-wide block.
-  for (std::size_t k = 0; k < width; ++k) {
-    auto& lane = static_cast<HouseholdTraceSource&>(*sources[k]);
-    RLBLH_REQUIRE(lane.intervals() == intervals,
-                  "HouseholdTraceSource: lane length must match the day");
-    lane.model_.generate_day_into(lane.lane_scratch_);
-  }
-  // Scatter interval-major, tile by tile: inside a tile the lane loop
-  // rewrites the same few cache lines, so each line of the block is filled
-  // once instead of once per lane. Values and per-lane store order are
-  // exactly the strided default's.
-  constexpr std::size_t kScatterTile = 32;
-  for (std::size_t t = 0; t < intervals; t += kScatterTile) {
-    const std::size_t tile_end = std::min(intervals, t + kScatterTile);
-    for (std::size_t k = 0; k < width; ++k) {
-      const auto& lane = static_cast<HouseholdTraceSource&>(*sources[k]);
-      const double* day = lane.lane_scratch_.values().data();
-      double* out = data + k;
-      for (std::size_t n = t; n < tile_end; ++n) out[n * width] = day[n];
-    }
+    appliance->generate(occ, rng_, lane, config_.usage_cap, events);
   }
 }
 

@@ -68,15 +68,6 @@ class HouseholdModel {
                          std::vector<ApplianceEvent>* events = nullptr,
                          Occupancy* occupancy = nullptr);
 
-  /// Samples the next day's profile into a strided lane of a caller-owned
-  /// buffer (the batch engine's SoA path). The lane length must equal
-  /// config().intervals. Identical draws and values to generate_day() —
-  /// both run the same occupancy + appliance sequence on this model's RNG;
-  /// only the destination layout differs.
-  void generate_day_into_lane(TraceLane out,
-                              std::vector<ApplianceEvent>* events = nullptr,
-                              Occupancy* occupancy = nullptr);
-
   /// Samples just an occupancy pattern (exposed for tests).
   Occupancy sample_occupancy();
 
@@ -89,8 +80,6 @@ class HouseholdModel {
 
  private:
   void build_appliances();
-  void generate_into_zeroed(TraceLane out, std::vector<ApplianceEvent>* events,
-                            Occupancy* occupancy);
 
   HouseholdConfig config_;
   Rng rng_;
@@ -107,20 +96,6 @@ class HouseholdTraceSource final : public TraceSource {
   void next_day_into(DayTrace& out) override {
     model_.generate_day_into(out);
   }
-  void next_day_into_lane(TraceLane out) override {
-    model_.generate_day_into_lane(out);
-  }
-
-  /// Lane-native batch synthesis. Each lane's model generates into its own
-  /// contiguous scratch day (the appliance composition is read-modify-write
-  /// per event, which is much cheaper against an L1-resident day buffer
-  /// than against a strided lane of the W-wide block), then the scratches
-  /// are scattered interval-tile by interval-tile so every cache line of
-  /// the block is touched once instead of once per lane. Identical RNG
-  /// draws and values to the per-lane default — only store order changes.
-  void next_days_into_lanes(std::span<TraceSource* const> sources,
-                            double* data, std::size_t intervals) override;
-
   std::size_t intervals() const override { return model_.config().intervals; }
   double usage_cap() const override { return model_.config().usage_cap; }
 
@@ -129,7 +104,6 @@ class HouseholdTraceSource final : public TraceSource {
 
  private:
   HouseholdModel model_;
-  DayTrace lane_scratch_{1};  ///< batch-synthesis staging; see above
 };
 
 }  // namespace rlblh

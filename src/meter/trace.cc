@@ -30,8 +30,7 @@ void TraceLane::add_clamped_run(std::size_t start, std::size_t end,
                 "TraceLane: run out of range");
   RLBLH_REQUIRE(value >= 0.0, "TraceLane: added value must be >= 0");
   if (stride_ == 1) {
-    // Contiguous fast path: same per-interval math, unit-stride addressing
-    // (the scalar engine's synthesis stays as fast as before the lanes).
+    // Contiguous fast path: same per-interval math, unit-stride addressing.
     for (std::size_t n = start; n < end; ++n) {
       double next = data_[n] + value;
       if (cap > 0.0) next = std::min(next, cap);
@@ -80,7 +79,7 @@ void DayTrace::add_clamped(std::size_t n, double value, double cap) {
 
 void DayTrace::add_clamped_run(std::size_t start, std::size_t end,
                                double value, double cap) {
-  // One implementation for the scalar and lane paths (see TraceLane).
+  // One implementation for DayTrace and strided views (see TraceLane).
   TraceLane(*this).add_clamped_run(start, end, value, cap);
 }
 
@@ -107,15 +106,6 @@ void TraceSource::next_day_into_lane(TraceLane out) {
                 "TraceSource: lane length must match the day length");
   const double* values = day.values().data();
   for (std::size_t n = 0; n < out.intervals(); ++n) out[n] = values[n];
-}
-
-void TraceSource::next_days_into_lanes(std::span<TraceSource* const> sources,
-                                       double* data, std::size_t intervals) {
-  const std::size_t width = sources.size();
-  RLBLH_REQUIRE(width >= 1, "TraceSource: need at least one lane");
-  for (std::size_t k = 0; k < width; ++k) {
-    sources[k]->next_day_into_lane(TraceLane(data + k, width, intervals));
-  }
 }
 
 CsvTraceSource::CsvTraceSource(const std::string& path,

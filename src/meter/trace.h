@@ -26,14 +26,9 @@ inline constexpr double kDefaultUsageCap = 0.08;
 class DayTrace;
 
 /// A strided, non-owning view of one day's series inside a larger buffer:
-/// interval n lives at data[n * stride]. The batch engine lays W households
-/// out as structure-of-arrays lanes; a TraceLane is how one household's
-/// generators write into its lane without knowing the layout. A DayTrace
-/// converts implicitly to a stride-1 lane over its own buffer, so every
-/// writer (appliance processes, household models, trace sources) has a
-/// single code path for the scalar and the batched case — which is also
-/// what makes lane k of a batch bit-identical to a scalar run: same code,
-/// same expressions, only the destination addresses differ.
+/// interval n lives at data[n * stride]. Generators (appliance processes,
+/// trace sources) write through it without knowing the layout; a DayTrace
+/// converts implicitly to a stride-1 lane over its own buffer.
 ///
 /// Writers take over DayTrace's invariant: every value written must be
 /// finite and >= 0.
@@ -84,12 +79,9 @@ class TraceLane {
 
 /// Read-only counterpart of TraceLane: a strided const view of one day's
 /// series inside a larger buffer (interval n lives at data[n * stride]).
-/// This is how consumers — observe_block, the usage statistics, the privacy
-/// metrics — read one lane of the batch engine's interval-major SoA day
-/// without a per-lane copy. A DayTrace, a TraceLane or a contiguous span
-/// converts implicitly to a stride-1 view, so scalar call sites keep their
-/// single code path (and the strided and contiguous reads share every
-/// expression, which is what keeps batch lanes bitwise scalar-equal).
+/// Consumers — observe_block, the usage statistics, the privacy metrics —
+/// read through it. A DayTrace, a TraceLane or a contiguous span converts
+/// implicitly to a stride-1 view.
 class ConstTraceLane {
  public:
   /// Views `intervals` slots at data[0], data[stride], ... Requires a
@@ -183,7 +175,7 @@ class DayTrace {
   const std::vector<double>& values() const { return values_; }
 
   /// Raw mutable access for trusted hot-path writers (the engine's reading
-  /// fill, batched generators). Callers take over the class invariant:
+  /// fill). Callers take over the class invariant:
   /// every value written must be finite and >= 0 — the checked set() path
   /// enforces the same contract one interval at a time.
   double* mutable_data() { return values_.data(); }
@@ -206,28 +198,10 @@ class TraceSource {
   /// override this.
   virtual void next_day_into(DayTrace& out) { out = next_day(); }
 
-  /// Produces the next day's profile into a strided lane (the batch
-  /// engine's SoA path). `out.intervals()` must equal intervals(). Draws
-  /// and values are identical to next_day(); only the destination layout
-  /// differs. The default materializes a DayTrace and copies — replay
-  /// sources rarely run batched — while the synthetic household source
-  /// overrides it to generate straight into the lane, allocation-free.
+  /// Produces the next day's profile into a strided lane of a caller-owned
+  /// buffer. `out.intervals()` must equal intervals(). Draws and values are
+  /// identical to next_day(); only the destination layout differs.
   virtual void next_day_into_lane(TraceLane out);
-
-  /// Lane-native batch synthesis: produces the next day of every source in
-  /// `sources` (index-aligned lanes, W = sources.size()) into one
-  /// interval-major block — lane k's interval n lives at data[n * W + k],
-  /// and every lane spans `intervals` slots. The batch engine calls this
-  /// once per day on sources[0] after verifying all lanes share lane 0's
-  /// dynamic type, so native overrides may static_cast the peers to their
-  /// own concrete type. The default loops lanes through
-  /// next_day_into_lane — same draws, same values, same per-lane store
-  /// order — so overriding is purely a memory-access optimization: a
-  /// lane-at-a-time pass over a W-wide day touches every cache line of the
-  /// block once per lane, while a native override can tile the interval
-  /// dimension and touch each line once.
-  virtual void next_days_into_lanes(std::span<TraceSource* const> sources,
-                                    double* data, std::size_t intervals);
 
   /// Number of intervals per produced day.
   virtual std::size_t intervals() const = 0;

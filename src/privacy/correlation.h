@@ -16,10 +16,9 @@
 namespace rlblh {
 
 /// Pearson correlation coefficient of two equal-length series (read-only
-/// lane views; a DayTrace converts implicitly and a strided batch lane is
-/// consumed without a copy). Returns 0 when either series is constant
-/// (zero variance), matching the convention that a flat series carries no
-/// linear relationship.
+/// lane views; a DayTrace converts implicitly). Returns 0 when either series
+/// is constant (zero variance), matching the convention that a flat series
+/// carries no linear relationship.
 double pearson_correlation(ConstTraceLane x, ConstTraceLane y);
 
 /// Convenience overload on plain vectors (throws on empty input).

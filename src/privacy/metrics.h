@@ -10,9 +10,8 @@
 namespace rlblh {
 
 // All series parameters are read-only lane views: a DayTrace converts
-// implicitly, and a strided lane of a batch day's interval-major buffer is
-// consumed without a copy. The loops run interval-ascending regardless of
-// stride, so the accumulated sums are bitwise independent of the layout.
+// implicitly. The loops run interval-ascending regardless of stride, so the
+// accumulated sums are bitwise independent of the layout.
 
 /// Daily cost savings S = sum_n r_n (x_n - y_n) in cents (paper Eq. 3).
 double daily_savings_cents(ConstTraceLane usage, ConstTraceLane readings,

@@ -44,8 +44,7 @@ class PairwiseMiEstimator {
                       double y_cap);
 
   /// Folds in one evaluation day of usage x and meter readings y (read-only
-  /// lane views; a DayTrace converts implicitly, a strided batch lane is
-  /// consumed without a copy).
+  /// lane views; a DayTrace converts implicitly).
   void observe_day(ConstTraceLane usage, ConstTraceLane readings);
 
   /// Number of days observed.

@@ -6,10 +6,11 @@
 // RTT percentiles on stdout, optional JSON for scripts. Exit 0 only when
 // every household reached the target day count.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "core/registry.h"
 #include "serve/load_gen.h"
 #include "util/error.h"
 
@@ -30,27 +31,31 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   rlblh::serve::LoadGenConfig config;
   std::string json_path;
+  // Numeric flags take digits only (parse_u64): "-1" or "2x" is a usage
+  // error, not a wrapped or truncated value.
+  const auto number = [&](int& i, auto& out) {
+    const auto value =
+        i + 1 < argc ? rlblh::parse_u64(argv[++i]) : std::nullopt;
+    if (value) out = *value;
+    return value.has_value();
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--endpoint" && has_value) {
       config.endpoint = argv[++i];
-    } else if (arg == "--households" && has_value) {
-      config.households =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--days" && has_value) {
-      config.days =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    } else if (arg == "--households") {
+      if (!number(i, config.households)) return usage(argv[0]);
+    } else if (arg == "--days") {
+      if (!number(i, config.days)) return usage(argv[0]);
     } else if (arg == "--spec" && has_value) {
       config.base_spec = argv[++i];
-    } else if (arg == "--seed-base" && has_value) {
-      config.seed_base = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--batch" && has_value) {
-      config.batch_intervals =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--threads" && has_value) {
-      config.threads =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    } else if (arg == "--seed-base") {
+      if (!number(i, config.seed_base)) return usage(argv[0]);
+    } else if (arg == "--batch") {
+      if (!number(i, config.batch_intervals)) return usage(argv[0]);
+    } else if (arg == "--threads") {
+      if (!number(i, config.threads)) return usage(argv[0]);
     } else if (arg == "--no-final-checkpoint") {
       config.final_checkpoint = false;
     } else if (arg == "--json" && has_value) {

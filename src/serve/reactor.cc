@@ -166,7 +166,7 @@ void Reactor::read_ready(const std::shared_ptr<Conn>& conn) {
       }
     } catch (const DataError&) {
       // Length prefix over the limit: framing is lost, drop the peer after
-      // telling it why — the thread-per-connection path's exact behavior.
+      // telling it why.
       if (config_.malformed_frames != nullptr) {
         config_.malformed_frames->fetch_add(1);
       }

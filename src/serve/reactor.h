@@ -1,4 +1,4 @@
-// Epoll reactor for the event-loop serving mode (DESIGN.md §15).
+// Epoll reactor of the metering daemon (DESIGN.md §15).
 //
 // One event-loop thread owns every socket: it accepts, reads non-blocking,
 // reassembles frames with the existing FrameReader, and hands each decoded

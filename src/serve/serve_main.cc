@@ -7,14 +7,14 @@
 // restart resumes bitwise-identically (DESIGN.md §15). SIGTERM/SIGINT
 // trigger a graceful drain: stop accepting, finish in-flight frames,
 // persist every household's newest completed day, exit 0.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include <unistd.h>
 
+#include "core/registry.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "util/error.h"
@@ -35,10 +35,10 @@ extern "C" void on_signal(int) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --checkpoint-dir DIR [--listen unix:PATH|tcp:PORT]"
-               " [--checkpoint-period DAYS]"
-               " [--threading event-loop|thread-per-conn] [--shards N]"
-               " [--batch-width N] [--max-connections N] [--obs]\n",
-               argv0);
+               " [--checkpoint-period DAYS] [--shards N]"
+               " [--max-connections N] [--obs]\n"
+               "  DAYS >= 1; N <= %zu shards (0 = auto)\n",
+               argv0, rlblh::serve::kMaxShards);
   return 2;
 }
 
@@ -55,26 +55,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-dir" && has_value) {
       config.checkpoint_dir = argv[++i];
     } else if (arg == "--checkpoint-period" && has_value) {
-      config.checkpoint_period_days =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--threading" && has_value) {
-      const std::string mode = argv[++i];
-      if (mode == "event-loop") {
-        config.threading = rlblh::serve::ThreadingMode::kEventLoop;
-      } else if (mode == "thread-per-conn") {
-        config.threading = rlblh::serve::ThreadingMode::kThreadPerConn;
-      } else {
-        return usage(argv[0]);
-      }
+      const auto days = rlblh::parse_u64(argv[++i]);
+      if (!days || *days == 0) return usage(argv[0]);
+      config.checkpoint_period_days = *days;
     } else if (arg == "--shards" && has_value) {
-      config.shards =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--batch-width" && has_value) {
-      config.batch_width =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      const auto shards = rlblh::parse_u64(argv[++i]);
+      if (!shards || *shards > rlblh::serve::kMaxShards) return usage(argv[0]);
+      config.shards = *shards;
     } else if (arg == "--max-connections" && has_value) {
-      config.max_connections =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      const auto conns = rlblh::parse_u64(argv[++i]);
+      if (!conns) return usage(argv[0]);
+      config.max_connections = *conns;
     } else if (arg == "--obs") {
       obs_on = true;
     } else {

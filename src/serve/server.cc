@@ -1,62 +1,39 @@
 #include "serve/server.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "obs/obs.h"
 #include "serve/net.h"
-#include "serve/protocol.h"
 #include "util/error.h"
 
 namespace rlblh::serve {
 
 namespace {
-/// Receive buffer per connection; frames are tiny, this batches syscalls.
-constexpr std::size_t kRecvChunk = 64 * 1024;
-
-/// Mode-default admission caps. Thread-per-connection without a cap is an
-/// operational hazard (a thread plus its stack per socket), so it gets a
-/// defensible ceiling; the reactor's per-connection cost is one fd plus a
-/// small struct, so its ceiling is an order-of-magnitude-larger backstop.
-constexpr std::size_t kDefaultMaxConnsThreadPerConn = 256;
-constexpr std::size_t kDefaultMaxConnsEventLoop = 65536;
+/// Default admission cap: the reactor's per-connection cost is one fd plus
+/// a small struct, so this is a backstop rather than a tuning knob.
+constexpr std::size_t kDefaultMaxConnections = 65536;
 }  // namespace
 
 ServeServer::ServeServer(ServeConfig config)
     : config_(std::move(config)), store_(config_.checkpoint_dir) {
   RLBLH_REQUIRE(config_.checkpoint_period_days >= 1,
                 "serve: checkpoint period must be >= 1 day");
+  RLBLH_REQUIRE(config_.shards <= kMaxShards,
+                "serve: at most " + std::to_string(kMaxShards) + " shards");
 }
 
 ServeServer::~ServeServer() { stop(); }
 
 std::size_t ServeServer::effective_max_connections() const {
-  if (config_.max_connections != 0) return config_.max_connections;
-  return config_.threading == ThreadingMode::kEventLoop
-             ? kDefaultMaxConnsEventLoop
-             : kDefaultMaxConnsThreadPerConn;
+  return config_.max_connections != 0 ? config_.max_connections
+                                      : kDefaultMaxConnections;
 }
 
 void ServeServer::start() {
   RLBLH_REQUIRE(listen_fd_ < 0, "serve: start() called twice");
-  if (::pipe(stop_pipe_) < 0) {
-    throw DataError("serve: cannot create stop pipe");
-  }
   listen_fd_ = listen_endpoint(config_.listen, &endpoint_);
-  if (config_.threading == ThreadingMode::kEventLoop) {
-    start_event_loop();
-    return;
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void ServeServer::start_event_loop() {
   raise_fd_limit();
   std::size_t nshards = config_.shards;
   if (nshards == 0) {
@@ -80,12 +57,10 @@ void ServeServer::start_event_loop() {
     sc.store = &store_;
     sc.reactor = reactor_.get();
     sc.checkpoint_period_days = config_.checkpoint_period_days;
-    sc.batch_width = config_.batch_width;
     sc.draining = &draining_;
     sc.malformed = &malformed_;
     sc.days_completed = &days_completed_;
     sc.checkpoints = &checkpoints_;
-    sc.batch_days = &batch_days_;
     shards_.push_back(std::make_unique<Shard>(sc));
   }
   for (auto& shard : shards_) shard->start();
@@ -97,8 +72,7 @@ void ServeServer::route_payload(std::shared_ptr<Conn> conn,
   // Every server-bound message carries its u64 household id at payload
   // offset 2 (after version + type), which is what lets the reactor route
   // without decoding. Short payloads cannot be valid server-bound frames;
-  // they go to shard 0 whose decoder produces the same error reply the
-  // thread-per-conn path would.
+  // they go to shard 0, whose decoder answers them with an error reply.
   std::uint64_t id = 0;
   if (payload.size() >= 10) {
     for (std::size_t i = 0; i < 8; ++i) {
@@ -109,354 +83,55 @@ void ServeServer::route_payload(std::shared_ptr<Conn> conn,
                                                          std::move(payload));
 }
 
-void ServeServer::accept_loop() {
-  for (;;) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (fds[1].revents != 0 || draining_.load()) return;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (live_conns_.load() >= effective_max_connections()) {
-      rejected_.fetch_add(1);
-      close_quietly(fd);
-      continue;
-    }
-    connections_.fetch_add(1);
-    live_conns_.fetch_add(1);
-    RLBLH_OBS_COUNT("serve.connections", 1);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (draining_.load()) {
-      live_conns_.fetch_sub(1);
-      close_quietly(fd);
-      return;
-    }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
-  }
-}
-
-void ServeServer::connection_loop(int fd) {
-  FrameReader reader;
-  std::vector<std::uint8_t> chunk(kRecvChunk);
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> out;
-  try {
-    while (!draining_.load()) {
-      const std::size_t n = recv_some(fd, chunk.data(), chunk.size());
-      if (n == 0) break;  // orderly close
-      reader.append(chunk.data(), n);
-      out.clear();
-      bool fatal = false;
-      try {
-        while (reader.take(payload)) {
-          handle_frame(payload.data(), payload.size(), out);
-        }
-      } catch (const DataError&) {
-        // Length prefix over the limit: framing is lost, drop the peer
-        // after telling it why.
-        malformed_.fetch_add(1);
-        RLBLH_OBS_COUNT("serve.malformed_frames", 1);
-        encode_error(out, {ErrorCode::kMalformedFrame,
-                           "unrecoverable framing error"});
-        fatal = true;
-      }
-      if (!out.empty()) send_all(fd, out.data(), out.size());
-      if (fatal) break;
-    }
-  } catch (const DataError&) {
-    // Peer vanished mid-send/recv; nothing to clean up beyond the fd.
-  }
-  close_quietly(fd);
-  live_conns_.fetch_sub(1);
-}
-
-ServeServer::Entry* ServeServer::find_entry(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second.get();
-}
-
-void ServeServer::handle_frame(const std::uint8_t* payload, std::size_t size,
-                               std::vector<std::uint8_t>& out) {
-  Frame frame;
-  try {
-    frame = decode_payload(payload, size);
-  } catch (const DataError& e) {
-    // A malformed body inside an intact frame: reject it, keep the
-    // connection — framing is still synchronized.
-    malformed_.fetch_add(1);
-    RLBLH_OBS_COUNT("serve.malformed_frames", 1);
-    encode_error(out, {ErrorCode::kMalformedFrame, e.what()});
-    return;
-  }
-  RLBLH_OBS_COUNT("serve.frames", 1);
-
-  switch (frame.type) {
-    case MessageType::kHello: {
-      if (draining_.load()) {
-        encode_error(out, {ErrorCode::kDraining, "server is draining"});
-        return;
-      }
-      const std::uint64_t id = frame.hello.household_id;
-      std::unique_ptr<HouseholdSession> fresh;
-      bool resumed = false;
-      try {
-        if (store_.exists(id)) {
-          fresh = store_.load(id);
-          resumed = true;
-          // The client must agree on what this household is.
-          const std::string wanted =
-              ScenarioSpec::parse(frame.hello.spec).canonical();
-          if (wanted != fresh->spec_text()) {
-            encode_error(out, {ErrorCode::kBadSpec,
-                               "spec does not match the checkpoint for id " +
-                                   std::to_string(id)});
-            return;
-          }
-        } else {
-          fresh = std::make_unique<HouseholdSession>(id, frame.hello.spec);
-        }
-      } catch (const ConfigError& e) {
-        encode_error(out, {ErrorCode::kBadSpec, e.what()});
-        return;
-      } catch (const DataError& e) {
-        encode_error(out, {ErrorCode::kInternal, e.what()});
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(sessions_mu_);
-        auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-          auto entry = std::make_unique<Entry>();
-          entry->session = std::move(fresh);
-          entry->checkpointed_days = entry->session->days_completed();
-          it = sessions_.emplace(id, std::move(entry)).first;
-        }
-        // An id that is already live (client reconnected before we noticed
-        // the old socket die) keeps its in-memory session — it is strictly
-        // newer than any checkpoint.
-        std::lock_guard<std::mutex> entry_lock(it->second->mu);
-        HouseholdSession& s = *it->second->session;
-        HelloAckMsg ack;
-        ack.household_id = id;
-        ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
-        ack.next_interval = static_cast<std::uint32_t>(s.next_interval());
-        ack.day_open = s.day_open() ? 1 : 0;
-        ack.resumed = resumed ? 1 : 0;
-        encode_hello_ack(out, ack);
-      }
-      RLBLH_OBS_COUNT("serve.hellos", 1);
-      return;
-    }
-    case MessageType::kReadings: {
-      Entry* entry = find_entry(frame.readings.household_id);
-      if (entry == nullptr) {
-        encode_error(out, {ErrorCode::kUnknownHousehold,
-                           "no session for id " +
-                               std::to_string(frame.readings.household_id)});
-        return;
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      std::lock_guard<std::mutex> lock(entry->mu);
-      HouseholdSession& s = *entry->session;
-      bool day_done = false;
-      try {
-        day_done = s.apply_readings(
-            frame.readings.day, frame.readings.first_interval,
-            std::span<const double>(frame.readings.values));
-      } catch (const ConfigError& e) {
-        encode_error(out, {ErrorCode::kOutOfOrder, e.what()});
-        return;
-      }
-      if (day_done) {
-        days_completed_.fetch_add(1);
-        RLBLH_OBS_COUNT("serve.days_completed", 1);
-        if (s.days_completed() % config_.checkpoint_period_days == 0) {
-          // Persist before acking: an acked closed day is on disk.
-          store_.save(s);
-          entry->checkpointed_days = s.days_completed();
-          checkpoints_.fetch_add(1);
-          RLBLH_OBS_COUNT("serve.checkpoints", 1);
-        }
-      }
-      ReadingsAckMsg ack;
-      ack.household_id = frame.readings.household_id;
-      ack.day = static_cast<std::uint32_t>(s.days_completed());
-      ack.next_interval = static_cast<std::uint32_t>(s.next_interval());
-      ack.day_completed = day_done ? 1 : 0;
-      encode_readings_ack(out, ack);
-      const auto dt = std::chrono::steady_clock::now() - t0;
-      const double us =
-          std::chrono::duration<double, std::micro>(dt).count() /
-          static_cast<double>(std::max<std::size_t>(
-              frame.readings.values.size(), 1));
-      RLBLH_OBS_COUNT("serve.readings", frame.readings.values.size());
-      RLBLH_OBS_OBSERVE("serve.step_latency_us", us);
-      return;
-    }
-    case MessageType::kCheckpoint: {
-      Entry* entry = find_entry(frame.checkpoint.household_id);
-      if (entry == nullptr) {
-        encode_error(out, {ErrorCode::kUnknownHousehold,
-                           "no session for id " +
-                               std::to_string(frame.checkpoint.household_id)});
-        return;
-      }
-      std::lock_guard<std::mutex> lock(entry->mu);
-      HouseholdSession& s = *entry->session;
-      if (s.day_open()) {
-        encode_error(out, {ErrorCode::kOutOfOrder,
-                           "cannot checkpoint mid-day (finish the day "
-                           "first)"});
-        return;
-      }
-      store_.save(s);
-      entry->checkpointed_days = s.days_completed();
-      checkpoints_.fetch_add(1);
-      RLBLH_OBS_COUNT("serve.checkpoints", 1);
-      CheckpointAckMsg ack;
-      ack.household_id = frame.checkpoint.household_id;
-      ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
-      encode_checkpoint_ack(out, ack);
-      return;
-    }
-    case MessageType::kStats: {
-      Entry* entry = find_entry(frame.stats.household_id);
-      if (entry == nullptr) {
-        encode_error(out, {ErrorCode::kUnknownHousehold,
-                           "no session for id " +
-                               std::to_string(frame.stats.household_id)});
-        return;
-      }
-      std::lock_guard<std::mutex> lock(entry->mu);
-      const HouseholdSession& s = *entry->session;
-      StatsAckMsg ack;
-      ack.household_id = frame.stats.household_id;
-      ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
-      ack.savings_cents = s.savings_cents();
-      ack.bill_cents = s.bill_cents();
-      ack.usage_cost_cents = s.usage_cost_cents();
-      ack.battery_level_kwh = s.battery_level();
-      encode_stats_ack(out, ack);
-      return;
-    }
-    case MessageType::kBye: {
-      ByeAckMsg ack;
-      ack.household_id = frame.bye.household_id;
-      encode_bye_ack(out, ack);
-      return;
-    }
-    default:
-      // Server-bound protocol only; acks arriving here are client bugs.
-      malformed_.fetch_add(1);
-      encode_error(out, {ErrorCode::kMalformedFrame,
-                         "unexpected message type on server"});
-      return;
-  }
-}
-
 std::size_t ServeServer::household_count() const {
-  if (config_.threading == ThreadingMode::kEventLoop) {
-    std::size_t count = 0;
-    for (const auto& shard : shards_) count += shard->session_count();
-    return count;
-  }
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  return sessions_.size();
+  std::size_t count = 0;
+  for (const auto& shard : shards_) count += shard->session_count();
+  return count;
 }
 
-void ServeServer::shutdown_sockets() {
-  draining_.store(true);
-  if (stop_pipe_[1] >= 0) {
-    const std::uint8_t byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-}
-
-void ServeServer::join_threads() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+void ServeServer::close_listener() {
   if (listen_fd_ >= 0) {
     close_quietly(listen_fd_);
     listen_fd_ = -1;
     unlink_endpoint(endpoint_.empty() ? config_.listen : endpoint_);
   }
-  close_quietly(stop_pipe_[0]);
-  close_quietly(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
 }
 
 void ServeServer::stop() {
   if (stopped_.exchange(true)) return;
-  if (config_.threading == ThreadingMode::kEventLoop) {
-    draining_.store(true);
-    if (reactor_ != nullptr) {
-      // In-flight frames finish: the reactor drains its sockets and joins
-      // first, then each shard empties what was already queued.
-      reactor_->shutdown_conns();
-      reactor_->stop();
-    }
-    for (auto& shard : shards_) shard->stop(/*drain_queue=*/true);
-    for (auto& shard : shards_) shard->join();
-    join_threads();
-    for (auto& shard : shards_) {
-      shard->for_each_session(
-          [this](HouseholdSession& s, std::size_t& checkpointed_days) {
-            if (!s.day_open() && s.days_completed() > checkpointed_days) {
-              store_.save(s);
-              checkpointed_days = s.days_completed();
-              checkpoints_.fetch_add(1);
-              RLBLH_OBS_COUNT("serve.checkpoints", 1);
-            }
-          });
-    }
-    return;
+  draining_.store(true);
+  if (reactor_ != nullptr) {
+    // In-flight frames finish: the reactor drains its sockets and joins
+    // first, then each shard empties what was already queued.
+    reactor_->shutdown_conns();
+    reactor_->stop();
   }
-  shutdown_sockets();
-  join_threads();
+  for (auto& shard : shards_) shard->stop(/*drain_queue=*/true);
+  for (auto& shard : shards_) shard->join();
+  close_listener();
   // Drain checkpoint: persist every household whose completed days are
   // newer than its last save. Households mid-day keep their last
   // day-boundary checkpoint — the client replays the open day.
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (auto& [id, entry] : sessions_) {
-    std::lock_guard<std::mutex> entry_lock(entry->mu);
-    const HouseholdSession& s = *entry->session;
-    if (!s.day_open() && s.days_completed() > entry->checkpointed_days) {
-      store_.save(s);
-      entry->checkpointed_days = s.days_completed();
-      checkpoints_.fetch_add(1);
-      RLBLH_OBS_COUNT("serve.checkpoints", 1);
-    }
+  for (auto& shard : shards_) {
+    shard->for_each_session(
+        [this](HouseholdSession& s, std::size_t& checkpointed_days) {
+          if (!s.day_open() && s.days_completed() > checkpointed_days) {
+            store_.save(s);
+            checkpointed_days = s.days_completed();
+            checkpoints_.fetch_add(1);
+            RLBLH_OBS_COUNT("serve.checkpoints", 1);
+          }
+        });
   }
 }
 
 void ServeServer::abort_without_checkpoint() {
   if (stopped_.exchange(true)) return;
-  if (config_.threading == ThreadingMode::kEventLoop) {
-    draining_.store(true);
-    if (reactor_ != nullptr) reactor_->stop();
-    for (auto& shard : shards_) shard->stop(/*drain_queue=*/false);
-    for (auto& shard : shards_) shard->join();
-    join_threads();
-    return;
-  }
-  shutdown_sockets();
-  join_threads();
+  draining_.store(true);
+  if (reactor_ != nullptr) reactor_->stop();
+  for (auto& shard : shards_) shard->stop(/*drain_queue=*/false);
+  for (auto& shard : shards_) shard->join();
+  close_listener();
 }
 
 }  // namespace rlblh::serve

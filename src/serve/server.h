@@ -2,19 +2,11 @@
 //
 // ServeServer accepts connections on one endpoint, speaks the
 // serve/protocol.h frame protocol, and drives one HouseholdSession per
-// household id. Two threading models share every byte of protocol and
-// session behavior:
-//
-//   kEventLoop (default): one epoll reactor thread owns all sockets
-//   (serve/reactor.h) and hands decoded frames to session-sharded workers
-//   (serve/shard.h) — households hash to a fixed shard, per-session state
-//   is single-writer, and day-complete co-resident same-blueprint
-//   households step through BatchEngine lanes. Scales to tens of
-//   thousands of connections.
-//
-//   kThreadPerConn: the PR 8 model — one blocking thread per connection,
-//   kept for one release so the smoke job can byte-compare the two modes'
-//   checkpoints and acks (they must be identical, and are).
+// household id. One epoll reactor thread owns all sockets
+// (serve/reactor.h) and hands decoded frames to session-sharded workers
+// (serve/shard.h): households hash to a fixed shard, per-session state is
+// single-writer, and each shard handles its frames one at a time in
+// arrival order. Scales to tens of thousands of connections.
 //
 // Durability: every completed day whose index hits the checkpoint period is
 // persisted through CheckpointStore before the ack for the closing frame is
@@ -33,34 +25,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/checkpoint.h"
 #include "serve/reactor.h"
-#include "serve/session.h"
 #include "serve/shard.h"
 
 namespace rlblh::serve {
 
-enum class ThreadingMode {
-  kEventLoop,      ///< epoll reactor + session shards (default)
-  kThreadPerConn,  ///< one blocking thread per connection (compat)
-};
+/// Most session shards a server runs (each is one worker thread).
+inline constexpr std::size_t kMaxShards = 256;
 
 struct ServeConfig {
   std::string listen = "tcp:0";     ///< unix:PATH or tcp:PORT (0 = pick)
   std::string checkpoint_dir;       ///< required; created when missing
   std::size_t checkpoint_period_days = 1;  ///< persist every Nth day close
-  ThreadingMode threading = ThreadingMode::kEventLoop;
-  std::size_t shards = 0;       ///< session shards; 0 = auto (event loop)
-  std::size_t batch_width = 32; ///< max BatchEngine lanes per staged day;
-                                ///< < 2 disables server-side batch stepping
-  std::size_t max_connections = 0;  ///< 0 = mode default (event loop 65536,
-                                    ///< thread-per-conn 256)
+  std::size_t shards = 0;           ///< session shards; 0 = auto
+  std::size_t max_connections = 0;  ///< 0 = default (65536)
 };
 
 class ServeServer {
@@ -95,28 +77,15 @@ class ServeServer {
   std::size_t malformed_frames() const { return malformed_.load(); }
   std::size_t days_completed() const { return days_completed_.load(); }
   std::size_t checkpoints_written() const { return checkpoints_.load(); }
-  /// Day closes stepped as BatchEngine lanes (0 in thread-per-conn mode).
-  std::size_t batch_days_completed() const { return batch_days_.load(); }
+  /// Always 0: every day closes through its own session's stream engine.
+  /// Kept because perfbench_daemon prints it.
+  std::size_t batch_days_completed() const { return 0; }
 
   /// The effective connection admission cap for this config.
   std::size_t effective_max_connections() const;
 
  private:
-  struct Entry {
-    std::mutex mu;
-    std::unique_ptr<HouseholdSession> session;
-    std::size_t checkpointed_days = 0;  ///< days covered by the newest save
-  };
-
-  void accept_loop();
-  void connection_loop(int fd);
-  /// Handles one decoded frame; appends response frames to `out`.
-  void handle_frame(const std::uint8_t* payload, std::size_t size,
-                    std::vector<std::uint8_t>& out);
-  Entry* find_entry(std::uint64_t id);
-  void shutdown_sockets();
-  void join_threads();
-  void start_event_loop();
+  void close_listener();
   void route_payload(std::shared_ptr<Conn> conn,
                      std::vector<std::uint8_t>&& payload);
 
@@ -124,22 +93,10 @@ class ServeServer {
   CheckpointStore store_;
   std::string endpoint_;
   int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};  ///< self-pipe waking the accept loop
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
 
-  // --- thread-per-conn state -------------------------------------------
-  std::thread accept_thread_;
-  mutable std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
-  std::atomic<std::size_t> live_conns_{0};
-
-  mutable std::mutex sessions_mu_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> sessions_;
-
-  // --- event-loop state -------------------------------------------------
   std::unique_ptr<Reactor> reactor_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -148,7 +105,6 @@ class ServeServer {
   std::atomic<std::size_t> malformed_{0};
   std::atomic<std::size_t> days_completed_{0};
   std::atomic<std::size_t> checkpoints_{0};
-  std::atomic<std::size_t> batch_days_{0};
 };
 
 }  // namespace rlblh::serve

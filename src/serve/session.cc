@@ -31,10 +31,6 @@ void HouseholdSession::build_components() {
                       "' does not support checkpoint/restore; every served "
                       "household must be resumable");
   }
-  ScenarioSpec blueprint = spec_;
-  blueprint.seed = 0;
-  blueprint.hseed.reset();
-  blueprint_key_ = blueprint.canonical();
 }
 
 bool HouseholdSession::apply_readings(std::uint32_t day,
@@ -64,8 +60,8 @@ bool HouseholdSession::apply_readings(std::uint32_t day,
                     "StreamEngine: usage must be finite and >= 0");
       pending_.push_back(v);
     }
-    // Complete days are NOT finalized here: the owning shard chooses the
-    // stream or batch finalizer before it sends the ack.
+    // Complete days are NOT finalized here: the owning shard calls
+    // finalize_day_stream() before it sends the ack.
     return day_complete();
   }
   if (!engine_.day_open()) {
@@ -115,52 +111,6 @@ void HouseholdSession::finalize_day_stream() {
   bill_cents_ += result.bill_cents;
   usage_cost_cents_ += result.usage_cost_cents;
   ++days_;
-}
-
-void HouseholdSession::absorb_batch_lane(const BatchDay& day,
-                                         const BatteryLanes& lanes,
-                                         std::size_t lane) {
-  RLBLH_REQUIRE(!engine_.day_open() && day_complete(),
-                "serve session: batch absorb needs a fully buffered day");
-  RLBLH_REQUIRE(lane < day.width && day.intervals == prices_.intervals(),
-                "serve session: batch lane does not match the session");
-
-  // Battery bookkeeping: BatteryLanes tracks levels and violation counts
-  // but not the cumulative wasted/grid-extra totals that live in the
-  // checkpoint bytes. For the (rare) violated lanes, replay the recorded
-  // per-interval inputs through Battery::step's exact expressions, in
-  // interval order, accumulating onto the pre-day totals — bitwise what a
-  // streamed day would have accumulated, without re-stepping the batch.
-  const std::size_t day_violations = day.battery_violations[lane];
-  double wasted = battery_.total_wasted_charge();
-  double grid_extra = battery_.total_grid_extra();
-  if (day_violations != 0) {
-    const std::size_t pulse = policy_->pulse_width();
-    const double cap = battery_.capacity();
-    const double ce = battery_.charge_efficiency();
-    const double de = battery_.discharge_efficiency();
-    for (std::size_t n = 0; n < day.intervals; ++n) {
-      const double y = day.block_y[(n / pulse) * day.width + lane];
-      const double x_n = day.usage[n * day.width + lane];
-      const double level = day.levels[n * day.width + lane];
-      const double delta = ce * y - x_n / de;
-      const double next = level + delta;
-      if (next > cap) {
-        wasted += next - cap;
-      } else if (next < 0.0) {
-        grid_extra += -next * de;
-      }
-    }
-  }
-  battery_.restore(lanes.level(lane),
-                   battery_.violation_count() + day_violations, wasted,
-                   grid_extra);
-
-  savings_cents_ += day.savings_cents[lane];
-  bill_cents_ += day.bill_cents[lane];
-  usage_cost_cents_ += day.usage_cost_cents[lane];
-  ++days_;
-  pending_.clear();
 }
 
 void HouseholdSession::save(std::ostream& out) const {

@@ -1,12 +1,12 @@
 // One served household: scenario components + streaming day loop + totals.
 //
 // A HouseholdSession is the daemon-side mirror of what build_scenario wires
-// up for a batch run — the same registries build the policy and price
+// up for a simulator run — the same registries build the policy and price
 // schedule from the same spec string, the battery starts at b_M / 2 — but
 // the day loop is the push-driven StreamEngine, fed by Readings frames as
 // they arrive. Because StreamEngine is bitwise-identical to SimEngine, a
 // session that has consumed D days of a household's usage holds exactly the
-// policy/battery/RNG state a batch SimEngine run over the same D days would
+// policy/battery/RNG state a SimEngine run over the same D days would
 // hold (serve/server_test.cc pins this differentially).
 //
 // Checkpoint contract: save() is only legal between days (the policy's
@@ -26,7 +26,6 @@
 #include "battery/battery.h"
 #include "core/policy.h"
 #include "pricing/tou.h"
-#include "sim/batch_engine.h"
 #include "sim/scenario.h"
 #include "sim/stream_engine.h"
 
@@ -48,11 +47,6 @@ class HouseholdSession {
   /// Canonical spec string (the session's identity; a reconnecting client
   /// must present a spec with the same canonical form).
   const std::string& spec_text() const { return spec_text_; }
-
-  /// Seed-independent canonical form (seed zeroed, hseed cleared): two
-  /// sessions with equal keys are same-blueprint and may share BatchEngine
-  /// lanes — the serve-side mirror of make_scenario_blueprint's contract.
-  const std::string& blueprint_key() const { return blueprint_key_; }
 
   std::size_t days_completed() const { return days_; }
   bool day_open() const { return engine_.day_open() || !pending_.empty(); }
@@ -82,38 +76,22 @@ class HouseholdSession {
   double battery_level() const { return battery_.level(); }
 
   /// The live policy (differential tests compare its serialized state
-  /// against a batch run's).
+  /// against a SimEngine run's).
   const BlhPolicy& policy() const { return *policy_; }
 
-  // --- deferred-day protocol (event-loop shards) ------------------------
+  // --- deferred days (shards) --------------------------------------------
   //
-  // A shard defers stepping: apply_readings() only validates and buffers,
-  // and the shard decides at day close whether the buffered day runs
-  // through the StreamEngine (singleton) or as one lane of a BatchEngine
-  // staged day (co-resident same-blueprint group). Validation reproduces
-  // the eager path's checks, messages and partial-application cursor
-  // exactly, so replies are byte-identical; the stepped state is identical
-  // because a pulse policy commits each block before the block's usage
-  // exists — deferring the arithmetic cannot change any value it reads.
+  // A shard runs its sessions deferred: apply_readings() only validates and
+  // buffers, so a mid-day frame does no engine work, and the shard closes a
+  // complete day with finalize_day_stream() before it handles its next
+  // frame. Validation reproduces the eager path's checks, messages and
+  // partial-application cursor exactly, so replies are byte-identical, and
+  // the engine later receives the same values in the same order, so the
+  // stepped state is too.
 
   /// Switches the session to deferred buffering (set once, right after
   /// construction/restore; never with a day open).
   void set_deferred(bool on);
-  bool deferred() const { return deferred_; }
-
-  /// Buffered-but-unstepped usage of the open deferred day.
-  std::span<const double> pending_usage() const { return pending_; }
-
-  /// True when a deferred day is fully buffered and awaits finalization.
-  bool day_complete() const {
-    return !pending_.empty() && next_interval() == prices_.intervals();
-  }
-
-  /// True when the complete day can run as a batch lane: nothing of it has
-  /// been stepped through the StreamEngine (no mid-day Stats flush).
-  bool batch_eligible() const {
-    return day_complete() && !engine_.day_open();
-  }
 
   /// Steps every buffered interval through the StreamEngine (opening the
   /// day if needed) without closing the day — the Stats path uses this so
@@ -121,21 +99,8 @@ class HouseholdSession {
   void flush_pending_to_stream();
 
   /// Closes a complete deferred day through the StreamEngine (flush +
-  /// finish_day + totals), the singleton/fallback finalizer.
+  /// finish_day + totals).
   void finalize_day_stream();
-
-  /// Absorbs lane `lane` of a finished BatchEngine staged day: money
-  /// totals, battery restore (with the wasted/grid-extra replay for
-  /// violated lanes) and the day counter. The policy advanced in the batch
-  /// run itself. Requires batch_eligible() beforehand.
-  void absorb_batch_lane(const BatchDay& day, const BatteryLanes& lanes,
-                         std::size_t lane);
-
-  /// Mutable policy handle for packing BatchEngine lane spans.
-  BlhPolicy& policy_mut() { return *policy_; }
-
-  const TouSchedule& prices() const { return prices_; }
-  const Battery& battery() const { return battery_; }
 
   /// Writes the full between-days state (spec, counters, cumulative cents,
   /// battery, policy). Throws ConfigError while a day is open.
@@ -145,9 +110,13 @@ class HouseholdSession {
   explicit HouseholdSession() = default;
   void build_components();
 
+  /// True when a deferred day is fully buffered and awaits finalization.
+  bool day_complete() const {
+    return !pending_.empty() && next_interval() == prices_.intervals();
+  }
+
   std::uint64_t id_ = 0;
   std::string spec_text_;
-  std::string blueprint_key_;
   ScenarioSpec spec_;
   TouSchedule prices_ = TouSchedule::flat(1, 0.0);  ///< replaced in build
   Battery battery_{1.0};

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <exception>
 #include <span>
 #include <string>
 #include <utility>
 
 #include "obs/obs.h"
-#include "serve/protocol.h"
 #include "sim/scenario.h"
 #include "util/error.h"
 
@@ -65,6 +64,7 @@ void Shard::for_each_session(
 
 void Shard::run() {
   std::vector<Item> items;
+  std::vector<std::uint8_t> out;
   for (;;) {
     bool stopping;
     {
@@ -74,7 +74,11 @@ void Shard::run() {
       if (stopping && !drain_on_stop_) return;  // crash simulation
       items.swap(queue_);
     }
-    if (!items.empty()) process_drain(items);
+    for (Item& item : items) {
+      out.clear();
+      handle(item.payload, out);
+      config_.reactor->send(item.conn, out.data(), out.size());
+    }
     items.clear();
     // After a graceful stop the reactor has already joined, so nothing can
     // enqueue behind the swap we just drained.
@@ -82,117 +86,41 @@ void Shard::run() {
   }
 }
 
-void Shard::process_drain(std::vector<Item>& items) {
-  DrainState state;
-  for (Item& item : items) process_item(state, item);
-  finalize_drain(state);
-}
-
-void Shard::emit(DrainState& state, const std::shared_ptr<Conn>& conn,
-                 std::vector<std::uint8_t>&& bytes) {
-  auto it = state.outs.find(conn.get());
-  if (it != state.outs.end() && it->second.blocked) {
-    it->second.chunks.push_back(std::move(bytes));
-    return;
+Shard::Entry* Shard::find(std::uint64_t id, std::vector<std::uint8_t>& out) {
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) {
+    encode_error(out, {ErrorCode::kUnknownHousehold,
+                       "no session for id " + std::to_string(id)});
+    return nullptr;
   }
-  config_.reactor->send(conn, bytes.data(), bytes.size());
+  return it->second.get();
 }
 
-void Shard::force_finalize(DrainState& state, std::uint64_t id) {
-  auto it = state.close_by_id.find(id);
-  if (it == state.close_by_id.end()) return;
-  PendingClose& close = state.closes[it->second];
-  if (!close.done) {
-    close.entry->session->finalize_day_stream();
-    finalize_close(close);
-  }
-  state.close_by_id.erase(it);
-}
-
-void Shard::process_item(DrainState& state, Item& item) {
-  std::vector<std::uint8_t> out;
+void Shard::handle(const std::vector<std::uint8_t>& payload,
+                   std::vector<std::uint8_t>& out) {
   Frame frame;
   try {
-    frame = decode_payload(item.payload.data(), item.payload.size());
+    frame = decode_payload(payload.data(), payload.size());
   } catch (const DataError& e) {
     // A malformed body inside an intact frame: reject it, keep the
     // connection — framing is still synchronized.
     config_.malformed->fetch_add(1);
     RLBLH_OBS_COUNT("serve.malformed_frames", 1);
     encode_error(out, {ErrorCode::kMalformedFrame, e.what()});
-    emit(state, item.conn, std::move(out));
     return;
   }
   RLBLH_OBS_COUNT("serve.frames", 1);
 
   switch (frame.type) {
-    case MessageType::kHello: {
-      if (config_.draining->load()) {
-        encode_error(out, {ErrorCode::kDraining, "server is draining"});
-        break;
-      }
-      const std::uint64_t id = frame.hello.household_id;
-      force_finalize(state, id);
-      std::unique_ptr<HouseholdSession> fresh;
-      bool resumed = false;
-      try {
-        if (config_.store->exists(id)) {
-          fresh = config_.store->load(id);
-          resumed = true;
-          // The client must agree on what this household is.
-          const std::string wanted =
-              ScenarioSpec::parse(frame.hello.spec).canonical();
-          if (wanted != fresh->spec_text()) {
-            encode_error(out, {ErrorCode::kBadSpec,
-                               "spec does not match the checkpoint for id " +
-                                   std::to_string(id)});
-            break;
-          }
-        } else {
-          fresh = std::make_unique<HouseholdSession>(id, frame.hello.spec);
-        }
-      } catch (const ConfigError& e) {
-        encode_error(out, {ErrorCode::kBadSpec, e.what()});
-        break;
-      } catch (const DataError& e) {
-        encode_error(out, {ErrorCode::kInternal, e.what()});
-        break;
-      }
-      fresh->set_deferred(true);
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) {
-        auto entry = std::make_unique<Entry>();
-        entry->session = std::move(fresh);
-        entry->checkpointed_days = entry->session->days_completed();
-        std::lock_guard<std::mutex> lock(mu_);
-        it = sessions_.emplace(id, std::move(entry)).first;
-      }
-      // An id that is already live (client reconnected before we noticed
-      // the old socket die) keeps its in-memory session — it is strictly
-      // newer than any checkpoint.
-      HouseholdSession& s = *it->second->session;
-      HelloAckMsg ack;
-      ack.household_id = id;
-      ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
-      ack.next_interval = static_cast<std::uint32_t>(s.next_interval());
-      ack.day_open = s.day_open() ? 1 : 0;
-      ack.resumed = resumed ? 1 : 0;
-      encode_hello_ack(out, ack);
-      RLBLH_OBS_COUNT("serve.hellos", 1);
-      break;
-    }
+    case MessageType::kHello:
+      handle_hello(frame.hello, out);
+      return;
     case MessageType::kReadings: {
       const std::uint64_t id = frame.readings.household_id;
-      force_finalize(state, id);
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) {
-        encode_error(out, {ErrorCode::kUnknownHousehold,
-                           "no session for id " + std::to_string(id)});
-        break;
-      }
+      Entry* entry = find(id, out);
+      if (entry == nullptr) return;
       const auto t0 = std::chrono::steady_clock::now();
-      Entry& entry = *it->second;
-      HouseholdSession& s = *entry.session;
+      HouseholdSession& s = *entry->session;
       bool day_done = false;
       try {
         day_done = s.apply_readings(
@@ -200,75 +128,52 @@ void Shard::process_item(DrainState& state, Item& item) {
             std::span<const double>(frame.readings.values));
       } catch (const ConfigError& e) {
         encode_error(out, {ErrorCode::kOutOfOrder, e.what()});
-        break;
-      }
-      RLBLH_OBS_COUNT("serve.readings", frame.readings.values.size());
-      if (day_done) {
-        // Defer the close to the end of the drain: co-resident
-        // same-blueprint closes step as BatchEngine lanes there. The ack
-        // is built at finalize time and slotted back into arrival order.
-        auto& conn_out = state.outs[item.conn.get()];
-        if (conn_out.conn == nullptr) conn_out.conn = item.conn;
-        conn_out.blocked = true;
-        conn_out.chunks.emplace_back();
-        PendingClose close;
-        close.id = id;
-        close.entry = &entry;
-        close.slot = &conn_out.chunks.back();
-        state.close_by_id[id] = state.closes.size();
-        state.closes.push_back(close);
         return;
       }
+      RLBLH_OBS_COUNT("serve.readings", frame.readings.values.size());
+      if (day_done) close_day(*entry);
       ReadingsAckMsg ack;
       ack.household_id = id;
       ack.day = static_cast<std::uint32_t>(s.days_completed());
       ack.next_interval = static_cast<std::uint32_t>(s.next_interval());
-      ack.day_completed = 0;
+      ack.day_completed = day_done ? 1 : 0;
       encode_readings_ack(out, ack);
-      const auto dt = std::chrono::steady_clock::now() - t0;
-      const double us = std::chrono::duration<double, std::micro>(dt).count() /
-                        static_cast<double>(std::max<std::size_t>(
-                            frame.readings.values.size(), 1));
-      RLBLH_OBS_OBSERVE("serve.step_latency_us", us);
-      break;
+      if (!day_done) {
+        const auto dt = std::chrono::steady_clock::now() - t0;
+        [[maybe_unused]] const double us =
+            std::chrono::duration<double, std::micro>(dt).count() /
+            static_cast<double>(std::max<std::size_t>(
+                frame.readings.values.size(), 1));
+        RLBLH_OBS_OBSERVE("serve.step_latency_us", us);
+      }
+      return;
     }
     case MessageType::kCheckpoint: {
       const std::uint64_t id = frame.checkpoint.household_id;
-      force_finalize(state, id);
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) {
-        encode_error(out, {ErrorCode::kUnknownHousehold,
-                           "no session for id " + std::to_string(id)});
-        break;
-      }
-      Entry& entry = *it->second;
-      HouseholdSession& s = *entry.session;
+      Entry* entry = find(id, out);
+      if (entry == nullptr) return;
+      HouseholdSession& s = *entry->session;
       if (s.day_open()) {
         encode_error(out, {ErrorCode::kOutOfOrder,
                            "cannot checkpoint mid-day (finish the day "
                            "first)"});
-        break;
+        return;
       }
       config_.store->save(s);
-      entry.checkpointed_days = s.days_completed();
+      entry->checkpointed_days = s.days_completed();
       config_.checkpoints->fetch_add(1);
       RLBLH_OBS_COUNT("serve.checkpoints", 1);
       CheckpointAckMsg ack;
       ack.household_id = id;
       ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
       encode_checkpoint_ack(out, ack);
-      break;
+      return;
     }
     case MessageType::kStats: {
       const std::uint64_t id = frame.stats.household_id;
-      force_finalize(state, id);
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) {
-        encode_error(out, {ErrorCode::kUnknownHousehold,
-                           "no session for id " + std::to_string(id)});
-        break;
-      }
-      HouseholdSession& s = *it->second->session;
+      Entry* entry = find(id, out);
+      if (entry == nullptr) return;
+      HouseholdSession& s = *entry->session;
       // A mid-day Stats must report the stepped battery level, so the
       // buffered part of the open day streams through the engine now (the
       // day then finishes via the stream path — state is already bitwise
@@ -282,123 +187,92 @@ void Shard::process_item(DrainState& state, Item& item) {
       ack.usage_cost_cents = s.usage_cost_cents();
       ack.battery_level_kwh = s.battery_level();
       encode_stats_ack(out, ack);
-      break;
+      return;
     }
     case MessageType::kBye: {
       ByeAckMsg ack;
       ack.household_id = frame.bye.household_id;
       encode_bye_ack(out, ack);
-      break;
+      return;
     }
     default:
       // Server-bound protocol only; acks arriving here are client bugs.
       config_.malformed->fetch_add(1);
       encode_error(out, {ErrorCode::kMalformedFrame,
                          "unexpected message type on server"});
-      break;
+      return;
   }
-  emit(state, item.conn, std::move(out));
 }
 
-void Shard::finalize_close(PendingClose& close) {
-  HouseholdSession& s = *close.entry->session;
+void Shard::handle_hello(const HelloMsg& hello,
+                         std::vector<std::uint8_t>& out) {
+  if (config_.draining->load()) {
+    encode_error(out, {ErrorCode::kDraining, "server is draining"});
+    return;
+  }
+  const std::uint64_t id = hello.household_id;
+  // Any exception while the session is built or restored answers this
+  // Hello with an Error and leaves the shard serving: a spec can name
+  // sizes no allocator satisfies, a checkpoint file can be damaged.
+  std::unique_ptr<HouseholdSession> fresh;
+  const bool resumed = config_.store->exists(id);
+  if (resumed) {
+    try {
+      fresh = config_.store->load(id);
+    } catch (const std::exception& e) {
+      encode_error(out, {ErrorCode::kInternal, e.what()});
+      return;
+    }
+  }
+  try {
+    if (!resumed) {
+      fresh = std::make_unique<HouseholdSession>(id, hello.spec);
+    } else if (ScenarioSpec::parse(hello.spec).canonical() !=
+               fresh->spec_text()) {
+      // The client must agree on what this household is.
+      encode_error(out, {ErrorCode::kBadSpec,
+                         "spec does not match the checkpoint for id " +
+                             std::to_string(id)});
+      return;
+    }
+  } catch (const std::exception& e) {
+    encode_error(out, {ErrorCode::kBadSpec, e.what()});
+    return;
+  }
+  fresh->set_deferred(true);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) {
+    auto entry = std::make_unique<Entry>();
+    entry->session = std::move(fresh);
+    entry->checkpointed_days = entry->session->days_completed();
+    std::lock_guard<std::mutex> lock(mu_);
+    it = sessions_.emplace(id, std::move(entry)).first;
+  }
+  // An id that is already live (client reconnected before we noticed the
+  // old socket die) keeps its in-memory session — it is strictly newer
+  // than any checkpoint.
+  const HouseholdSession& s = *it->second->session;
+  HelloAckMsg ack;
+  ack.household_id = id;
+  ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
+  ack.next_interval = static_cast<std::uint32_t>(s.next_interval());
+  ack.day_open = s.day_open() ? 1 : 0;
+  ack.resumed = resumed ? 1 : 0;
+  encode_hello_ack(out, ack);
+  RLBLH_OBS_COUNT("serve.hellos", 1);
+}
+
+void Shard::close_day(Entry& entry) {
+  HouseholdSession& s = *entry.session;
+  s.finalize_day_stream();
   config_.days_completed->fetch_add(1);
   RLBLH_OBS_COUNT("serve.days_completed", 1);
   if (s.days_completed() % config_.checkpoint_period_days == 0) {
     // Persist before acking: an acked closed day is on disk.
     config_.store->save(s);
-    close.entry->checkpointed_days = s.days_completed();
+    entry.checkpointed_days = s.days_completed();
     config_.checkpoints->fetch_add(1);
     RLBLH_OBS_COUNT("serve.checkpoints", 1);
-  }
-  ReadingsAckMsg ack;
-  ack.household_id = close.id;
-  ack.day = static_cast<std::uint32_t>(s.days_completed());
-  ack.next_interval = static_cast<std::uint32_t>(s.next_interval());
-  ack.day_completed = 1;
-  close.slot->clear();
-  encode_readings_ack(*close.slot, ack);
-  close.done = true;
-}
-
-void Shard::step_batch_group(std::vector<PendingClose*>& group) {
-  const std::size_t width = group.size();
-  HouseholdSession& first = *group[0]->entry->session;
-  const std::size_t n_m = first.intervals_per_day();
-
-  double* usage = batch_engine_.stage_usage(width, n_m);
-  std::vector<BlhPolicy*> policies(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    HouseholdSession& s = *group[k]->entry->session;
-    const std::span<const double> pending = s.pending_usage();
-    for (std::size_t n = 0; n < n_m; ++n) usage[n * width + k] = pending[n];
-    policies[k] = &s.policy_mut();
-  }
-
-  const Battery& model = first.battery();
-  battery_lanes_.reset(width, model.capacity(), model.capacity() / 2.0,
-                       model.charge_efficiency(),
-                       model.discharge_efficiency());
-  double* levels = battery_lanes_.levels();
-  for (std::size_t k = 0; k < width; ++k) {
-    levels[k] = group[k]->entry->session->battery().level();
-  }
-
-  const BatchDay& day = batch_engine_.run_staged_day(
-      first.prices(), battery_lanes_,
-      std::span<BlhPolicy* const>(policies.data(), width));
-  for (std::size_t k = 0; k < width; ++k) {
-    group[k]->entry->session->absorb_batch_lane(day, battery_lanes_, k);
-    finalize_close(*group[k]);
-  }
-  config_.batch_days->fetch_add(width);
-  RLBLH_OBS_COUNT("serve.batch_days", width);
-}
-
-void Shard::finalize_drain(DrainState& state) {
-  // Group the still-pending closes by blueprint: same spec modulo seeds =>
-  // identical day geometry, pricing, battery model and policy type, which
-  // is exactly what BatchEngine's lane homogeneity checks demand. std::map
-  // keys keep group order deterministic.
-  std::map<std::string, std::vector<PendingClose*>> groups;
-  for (PendingClose& close : state.closes) {
-    if (close.done) continue;
-    HouseholdSession& s = *close.entry->session;
-    if (config_.batch_width >= 2 && s.batch_eligible() &&
-        s.policy().pulse_width() > 0) {
-      groups[s.blueprint_key()].push_back(&close);
-    } else {
-      s.finalize_day_stream();
-      finalize_close(close);
-    }
-  }
-  for (auto& [key, group] : groups) {
-    std::size_t done = 0;
-    while (done < group.size()) {
-      const std::size_t width =
-          std::min(config_.batch_width, group.size() - done);
-      if (width < 2) {
-        // A lone lane gains nothing from staging: stream it.
-        PendingClose& close = *group[done];
-        close.entry->session->finalize_day_stream();
-        finalize_close(close);
-        done += 1;
-        continue;
-      }
-      std::vector<PendingClose*> chunk(group.begin() + static_cast<long>(done),
-                                       group.begin() +
-                                           static_cast<long>(done + width));
-      step_batch_group(chunk);
-      done += width;
-    }
-  }
-  // Flush the blocked connections' replies, arrival order preserved.
-  for (auto& [conn_ptr, conn_out] : state.outs) {
-    for (std::vector<std::uint8_t>& chunk : conn_out.chunks) {
-      if (!chunk.empty()) {
-        config_.reactor->send(conn_out.conn, chunk.data(), chunk.size());
-      }
-    }
   }
 }
 

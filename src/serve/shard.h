@@ -1,29 +1,22 @@
-// Session shard: the single-writer worker of the event-loop server.
+// Session shard: the single-writer worker of the daemon.
 //
 // The reactor hashes every frame's household id to a fixed shard, so one
 // worker thread owns each session outright — per-session state needs no
 // lock, and each household's frames are processed in arrival order (the
 // same determinism argument as the fleet executor's chunk wall: one writer
-// per household, lanes never mix).
+// per household, households never mix).
 //
-// Batch stepping: within one queue drain the shard defers day-closing
-// Readings frames to the end of the drain, groups the deferred sessions by
-// blueprint key (same spec modulo seeds), and steps groups of >= 2 through
-// BatchEngine lanes staged from the sessions' buffered usage — singletons
-// and sessions whose day was partially streamed (mid-day Stats) fall back
-// to the per-household StreamEngine. Every reply and checkpoint byte is
-// bit-identical to the thread-per-connection path: the lane kernels are
-// bitwise the stream kernels (DESIGN.md §14), a pulse policy commits each
-// block before the block's usage exists (so deferral changes no value it
-// reads), and per-connection reply order is preserved by slotting deferred
-// acks back into arrival order before the drain's replies flush.
+// Sessions run deferred (serve/session.h): a mid-day Readings frame only
+// validates and buffers, and a day-closing frame is finalized inline —
+// finalize_day_stream(), then the checkpoint, then the ack — before the
+// shard handles its next frame. A shard's replies therefore leave in the
+// order its frames arrived.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,11 +24,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "battery/battery.h"
 #include "serve/checkpoint.h"
+#include "serve/protocol.h"
 #include "serve/reactor.h"
 #include "serve/session.h"
-#include "sim/batch_engine.h"
 
 namespace rlblh::serve {
 
@@ -45,12 +37,10 @@ class Shard {
     CheckpointStore* store = nullptr;
     Reactor* reactor = nullptr;
     std::size_t checkpoint_period_days = 1;
-    std::size_t batch_width = 32;  ///< max lanes per staged day; < 2 disables
     std::atomic<bool>* draining = nullptr;
     std::atomic<std::size_t>* malformed = nullptr;
     std::atomic<std::size_t>* days_completed = nullptr;
     std::atomic<std::size_t>* checkpoints = nullptr;
-    std::atomic<std::size_t>* batch_days = nullptr;  ///< lane-stepped closes
   };
 
   explicit Shard(Config config);
@@ -88,47 +78,19 @@ class Shard {
     std::size_t checkpointed_days = 0;
   };
 
-  /// Reply sink for one connection within a drain: replies go straight to
-  /// the reactor until a deferred day-close opens a slot, after which this
-  /// conn's replies queue in arrival order behind it. A deque keeps
-  /// references stable as chunks append — PendingClose::slot points at an
-  /// element while later frames keep growing the queue.
-  struct ConnOut {
-    std::shared_ptr<Conn> conn;
-    std::deque<std::vector<std::uint8_t>> chunks;
-    bool blocked = false;
-  };
-
-  struct PendingClose {
-    std::uint64_t id = 0;
-    Entry* entry = nullptr;
-    std::vector<std::uint8_t>* slot = nullptr;  ///< reply bytes go here
-    bool done = false;
-  };
-
-  struct DrainState {
-    std::unordered_map<Conn*, ConnOut> outs;
-    std::vector<PendingClose> closes;
-    std::unordered_map<std::uint64_t, std::size_t> close_by_id;
-  };
-
   void run();
-  void process_drain(std::vector<Item>& items);
-  void process_item(DrainState& state, Item& item);
-  void emit(DrainState& state, const std::shared_ptr<Conn>& conn,
-            std::vector<std::uint8_t>&& bytes);
-  /// Finalizes the session's pending close now (stream path) so a later
-  /// frame in the same drain sees post-close state.
-  void force_finalize(DrainState& state, std::uint64_t id);
-  void finalize_close(PendingClose& close);
-  void finalize_drain(DrainState& state);
-  void step_batch_group(std::vector<PendingClose*>& group);
+  /// Handles one frame; appends the reply frame to `out`.
+  void handle(const std::vector<std::uint8_t>& payload,
+              std::vector<std::uint8_t>& out);
+  void handle_hello(const HelloMsg& hello, std::vector<std::uint8_t>& out);
+  /// Closes the session's fully buffered day, checkpoints it when the
+  /// period says so, and counts it.
+  void close_day(Entry& entry);
+  /// The entry for `id`, or nullptr after encoding kUnknownHousehold.
+  Entry* find(std::uint64_t id, std::vector<std::uint8_t>& out);
 
   Config config_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> sessions_;
-
-  BatchEngine batch_engine_;
-  BatteryLanes battery_lanes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

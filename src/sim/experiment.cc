@@ -34,22 +34,12 @@ void EvaluationAccumulator::reset(std::size_t intervals, std::size_t mi_levels,
 
 void EvaluationAccumulator::observe_day(const DayResult& day,
                                         const TouSchedule& prices) {
-  observe_day(day.usage, day.readings, day.bill_cents, day.usage_cost_cents,
-              day.battery_violations, prices);
-}
-
-void EvaluationAccumulator::observe_day(ConstTraceLane usage,
-                                        ConstTraceLane readings,
-                                        double bill_cents,
-                                        double usage_cost_cents,
-                                        std::size_t battery_violations,
-                                        const TouSchedule& prices) {
-  sr_.observe_day(usage, readings, prices);
-  cc_.observe_day(usage, readings);
-  mi_.observe_day(usage, readings);
-  battery_violations_ += battery_violations;
-  bill_cents_total_ += bill_cents;
-  usage_cost_cents_total_ += usage_cost_cents;
+  sr_.observe_day(day.usage, day.readings, prices);
+  cc_.observe_day(day.usage, day.readings);
+  mi_.observe_day(day.usage, day.readings);
+  battery_violations_ += day.battery_violations;
+  bill_cents_total_ += day.bill_cents;
+  usage_cost_cents_total_ += day.usage_cost_cents;
   ++days_;
 }
 

@@ -57,14 +57,6 @@ class EvaluationAccumulator {
   /// Folds in one evaluation day priced by `prices`.
   void observe_day(const DayResult& day, const TouSchedule& prices);
 
-  /// Same statistics from strided lane views plus the per-lane scalars of a
-  /// batch day — the copy-free path the batch evaluation loop feeds (no
-  /// DayResult extraction). Folding a batch lane through here is bitwise
-  /// identical to extracting the lane and using the overload above.
-  void observe_day(ConstTraceLane usage, ConstTraceLane readings,
-                   double bill_cents, double usage_cost_cents,
-                   std::size_t battery_violations, const TouSchedule& prices);
-
   /// Number of days folded in.
   std::size_t days() const { return days_; }
 

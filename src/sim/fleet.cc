@@ -169,52 +169,13 @@ FleetResult FleetSimulator::run(std::uint64_t fleet_seed) {
         std::unique_ptr<RunArena> arena = arenas.acquire();
         std::vector<EvaluationResult> results(last - first);
         std::size_t days = 0;
-        const auto run_scalar = [&](std::size_t h) {
+        for (std::size_t h = first; h < last; ++h) {
           const std::uint64_t base = derive_stream_seed(fleet_seed, h);
           results[h - first] = run_blueprint(
               specs_[h], *blueprint_of[h], *plan_of[h],
               /*policy_seed=*/derive_stream_seed(base, 0),
               /*household_seed=*/derive_stream_seed(base, 1), *arena);
           days += specs_[h].train_days + specs_[h].eval_days;
-        };
-        if (options_.batch_width <= 1) {
-          for (std::size_t h = first; h < last; ++h) run_scalar(h);
-        } else {
-          // Group the chunk's households by blueprint (bench fleets cycle
-          // through a spec mix, so equal blueprints are rarely adjacent —
-          // bucket by identity, not by run). Full W-batches go through the
-          // lockstep engine; the remainder of each bucket runs scalar.
-          // Results are written by household index, so regrouping cannot
-          // perturb output order.
-          const std::size_t width = options_.batch_width;
-          std::map<const ScenarioBlueprint*, std::vector<std::size_t>> groups;
-          for (std::size_t h = first; h < last; ++h) {
-            groups[blueprint_of[h]].push_back(h);
-          }
-          std::vector<std::uint64_t> policy_seeds(width);
-          std::vector<std::uint64_t> household_seeds(width);
-          std::vector<EvaluationResult> batch_out(width);
-          for (auto& [bp, members] : groups) {
-            std::size_t i = 0;
-            for (; i + width <= members.size(); i += width) {
-              for (std::size_t k = 0; k < width; ++k) {
-                const std::size_t h = members[i + k];
-                const std::uint64_t base = derive_stream_seed(fleet_seed, h);
-                policy_seeds[k] = derive_stream_seed(base, 0);
-                household_seeds[k] = derive_stream_seed(base, 1);
-              }
-              const std::size_t h0 = members[i];
-              run_blueprint_batch(specs_[h0], *bp, *plan_of[h0], policy_seeds,
-                                  household_seeds, *arena, batch_out);
-              for (std::size_t k = 0; k < width; ++k) {
-                const std::size_t h = members[i + k];
-                results[h - first] = batch_out[k];
-                days += specs_[h].train_days + specs_[h].eval_days;
-              }
-              RLBLH_OBS_COUNT("fleet.batched_households", width);
-            }
-            for (; i < members.size(); ++i) run_scalar(members[i]);
-          }
         }
         arenas.release(std::move(arena));
         RLBLH_OBS_COUNT("fleet.households", last - first);

@@ -1,4 +1,4 @@
-// Fleet-scale simulation: N heterogeneous households batched over threads.
+// Fleet-scale simulation: N heterogeneous households spread over threads.
 //
 // A fleet is a vector of ScenarioSpecs — one per household, freely mixing
 // policies, household presets and pricing plans. FleetSimulator batches
@@ -47,14 +47,6 @@ struct FleetOptions {
   /// aggregates are produced — the memory-lean mode for very large fleets
   /// (no O(N) result vector survives the run).
   bool keep_households = true;
-  /// Lockstep batch width W: within a chunk, households sharing a blueprint
-  /// are grouped into batches of exactly W and run through the SoA
-  /// BatchEngine; the remainder (and any width <= 1) takes the scalar
-  /// engine. Bitwise invisible — every width produces identical results —
-  /// but not free in memory: each lane holds its own EvaluationAccumulator
-  /// (~24 MB of MI tables at default geometry), so a W-lane arena costs
-  /// ~W x 24 MB per worker. Defaults to 0 (scalar) for that reason.
-  std::size_t batch_width = 0;
 };
 
 /// Mean and percentiles of one metric over the fleet's households.

@@ -194,34 +194,26 @@ EvaluationAccumulator& RunArena::accumulator(std::size_t intervals,
   return *accumulator_;
 }
 
-namespace {
-
-/// One household's live components, built from a blueprint: the seeded
-/// trace source and the seeded (and, for mdp, pre-trained) policy. This is
-/// the single construction path for the scalar and batched runners, so a
-/// batch lane starts from bit-identical state to a scalar run.
-struct HouseholdLane {
-  std::unique_ptr<TraceSource> source;
+EvaluationResult run_blueprint(const ScenarioSpec& spec,
+                               const ScenarioBlueprint& bp,
+                               const TouSchedule& prices,
+                               std::uint64_t policy_seed,
+                               std::uint64_t household_seed, RunArena& arena) {
+  RLBLH_REQUIRE(spec.eval_days >= 1,
+                "run_blueprint: need at least one evaluation day");
+  const std::unique_ptr<TraceSource> source =
+      make_blueprint_source(spec, bp, household_seed);
   std::unique_ptr<BlhPolicy> policy;
-};
-
-HouseholdLane make_household_lane(const ScenarioSpec& spec,
-                                  const ScenarioBlueprint& bp,
-                                  const TouSchedule& prices,
-                                  std::uint64_t policy_seed,
-                                  std::uint64_t household_seed) {
-  HouseholdLane lane;
-  lane.source = make_blueprint_source(spec, bp, household_seed);
   if (bp.policy_seed_pinned) {
-    lane.policy = make_policy(spec.policy, bp.policy_bag);
+    policy = make_policy(spec.policy, bp.policy_bag);
   } else {
     SpecParams bag = bp.policy_bag;
     bag.set("seed", policy_seed);
-    lane.policy = make_policy(spec.policy, bag);
+    policy = make_policy(spec.policy, bag);
   }
   // Blueprint-aware pretrain_if_needed: same trainer stream derivation,
   // but the trainer source comes from the cached household config.
-  if (auto* mdp = dynamic_cast<MdpBlhPolicy*>(lane.policy.get());
+  if (auto* mdp = dynamic_cast<MdpBlhPolicy*>(policy.get());
       mdp != nullptr && !mdp->solved()) {
     const std::size_t days = spec.train_days > 0 ? spec.train_days : 1;
     auto trainer = make_blueprint_source(
@@ -231,119 +223,19 @@ HouseholdLane make_household_lane(const ScenarioSpec& spec,
     }
     mdp->solve();
   }
-  return lane;
-}
 
-/// The scalar train/eval schedule over already-built components — the tail
-/// of run_blueprint, shared with the batched runner's fallback path.
-EvaluationResult run_household_schedule(const ScenarioSpec& spec,
-                                        const TouSchedule& prices,
-                                        TraceSource& source, BlhPolicy& policy,
-                                        RunArena& arena) {
   Battery battery(spec.battery_kwh, spec.battery_kwh / 2.0);
   SimEngine& engine = arena.engine();
   if (spec.train_days > 0) {
-    engine.run_days(source, prices, battery, policy, spec.train_days);
+    engine.run_days(*source, prices, battery, *policy, spec.train_days);
   }
   EvaluationAccumulator& accumulator = arena.accumulator(
-      source.intervals(), spec.mi_levels, source.usage_cap());
-  engine.run_days(source, prices, battery, policy, spec.eval_days,
+      source->intervals(), spec.mi_levels, source->usage_cap());
+  engine.run_days(*source, prices, battery, *policy, spec.eval_days,
                   [&](std::size_t, const DayResult& day) {
                     accumulator.observe_day(day, prices);
                   });
   return accumulator.result();
-}
-
-}  // namespace
-
-EvaluationResult run_blueprint(const ScenarioSpec& spec,
-                               const ScenarioBlueprint& bp,
-                               const TouSchedule& prices,
-                               std::uint64_t policy_seed,
-                               std::uint64_t household_seed, RunArena& arena) {
-  RLBLH_REQUIRE(spec.eval_days >= 1,
-                "run_blueprint: need at least one evaluation day");
-  HouseholdLane lane =
-      make_household_lane(spec, bp, prices, policy_seed, household_seed);
-  return run_household_schedule(spec, prices, *lane.source, *lane.policy,
-                                arena);
-}
-
-EvaluationAccumulator& RunArena::lane_accumulator(std::size_t lane,
-                                                  std::size_t intervals,
-                                                  std::size_t mi_levels,
-                                                  double usage_cap) {
-  if (lane >= lane_accumulators_.size()) lane_accumulators_.resize(lane + 1);
-  std::unique_ptr<EvaluationAccumulator>& slot = lane_accumulators_[lane];
-  if (slot == nullptr) {
-    slot = std::make_unique<EvaluationAccumulator>(intervals, mi_levels,
-                                                   usage_cap);
-  } else {
-    slot->reset(intervals, mi_levels, usage_cap);
-  }
-  return *slot;
-}
-
-void run_blueprint_batch(const ScenarioSpec& spec, const ScenarioBlueprint& bp,
-                         const TouSchedule& prices,
-                         std::span<const std::uint64_t> policy_seeds,
-                         std::span<const std::uint64_t> household_seeds,
-                         RunArena& arena, std::span<EvaluationResult> out) {
-  const std::size_t width = out.size();
-  RLBLH_REQUIRE(width >= 1, "run_blueprint_batch: need at least one lane");
-  RLBLH_REQUIRE(
-      policy_seeds.size() == width && household_seeds.size() == width,
-      "run_blueprint_batch: seed spans must match the lane width");
-  RLBLH_REQUIRE(spec.eval_days >= 1,
-                "run_blueprint_batch: need at least one evaluation day");
-  std::vector<HouseholdLane> lanes;
-  lanes.reserve(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    lanes.push_back(make_household_lane(spec, bp, prices, policy_seeds[k],
-                                        household_seeds[k]));
-  }
-  if (lanes[0].policy->pulse_width() == 0) {
-    // No pulse-block support (the lowpass baseline): the lockstep engine
-    // cannot drive this policy, so each lane runs the scalar schedule —
-    // the same code path run_blueprint takes, hence still bit-identical.
-    for (std::size_t k = 0; k < width; ++k) {
-      out[k] = run_household_schedule(spec, prices, *lanes[k].source,
-                                      *lanes[k].policy, arena);
-    }
-    return;
-  }
-
-  std::vector<TraceSource*> sources(width);
-  std::vector<BlhPolicy*> policies(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    sources[k] = lanes[k].source.get();
-    policies[k] = lanes[k].policy.get();
-  }
-  BatteryLanes& batteries = arena.battery_lanes();
-  batteries.reset(width, spec.battery_kwh, spec.battery_kwh / 2.0);
-  BatchEngine& engine = arena.batch_engine();
-  for (std::size_t d = 0; d < spec.train_days; ++d) {
-    engine.run_day(sources, prices, batteries, policies);
-  }
-  const std::size_t intervals = sources[0]->intervals();
-  const double usage_cap = sources[0]->usage_cap();
-  std::vector<EvaluationAccumulator*> accumulators(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    accumulators[k] =
-        &arena.lane_accumulator(k, intervals, spec.mi_levels, usage_cap);
-  }
-  for (std::size_t d = 0; d < spec.eval_days; ++d) {
-    const BatchDay& day = engine.run_day(sources, prices, batteries, policies);
-    for (std::size_t k = 0; k < width; ++k) {
-      // Copy-free: each accumulator reads its lane through strided views of
-      // the interval-major day and takes the money scalars the engine
-      // already summed per lane (the same values extract_lane would copy).
-      accumulators[k]->observe_day(day.usage_lane(k), day.readings_lane(k),
-                                   day.bill_cents[k], day.usage_cost_cents[k],
-                                   day.battery_violations[k], prices);
-    }
-  }
-  for (std::size_t k = 0; k < width; ++k) out[k] = accumulators[k]->result();
 }
 
 EvaluationResult run_spec(const ScenarioSpec& spec, const TouSchedule& prices,

@@ -24,9 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "battery/battery.h"
 #include "core/policy.h"
@@ -34,7 +32,6 @@
 #include "meter/household.h"
 #include "meter/trace.h"
 #include "pricing/tou.h"
-#include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -170,29 +167,9 @@ class RunArena {
   EvaluationAccumulator& accumulator(std::size_t intervals,
                                      std::size_t mi_levels, double usage_cap);
 
-  /// The arena's lockstep batch engine (SoA day buffers reused across
-  /// batches, like the scalar engine's scratch).
-  BatchEngine& batch_engine() { return batch_engine_; }
-
-  /// The arena's SoA battery state; run_blueprint_batch resets it per batch.
-  BatteryLanes& battery_lanes() { return battery_lanes_; }
-
-  /// Lane `lane`'s accumulator, reset for the given geometry. A batched run
-  /// holds one accumulator per lane live at once — at default geometry
-  /// (1440 intervals, 8 MI levels) each carries ~24 MB of MI tables, so a
-  /// W-lane arena costs ~W x 24 MB; that is the memory price of batching
-  /// and why FleetOptions::batch_width defaults to scalar.
-  EvaluationAccumulator& lane_accumulator(std::size_t lane,
-                                          std::size_t intervals,
-                                          std::size_t mi_levels,
-                                          double usage_cap);
-
  private:
   SimEngine engine_;
   std::optional<EvaluationAccumulator> accumulator_;
-  BatchEngine batch_engine_;
-  BatteryLanes battery_lanes_;
-  std::vector<std::unique_ptr<EvaluationAccumulator>> lane_accumulators_;
 };
 
 /// Runs one household from a resolved blueprint: the blueprint supplies the
@@ -208,20 +185,5 @@ EvaluationResult run_blueprint(const ScenarioSpec& spec,
 /// run_spec reusing a caller-owned arena instead of per-call scratch.
 EvaluationResult run_spec(const ScenarioSpec& spec, const TouSchedule& prices,
                           RunArena& arena);
-
-/// Runs W households of one blueprint in lockstep through the arena's
-/// BatchEngine: `policy_seeds`, `household_seeds` and `out` are
-/// index-aligned, one lane per household, all of size W >= 1. out[k] is
-/// bitwise equal to run_blueprint(spec, bp, prices, policy_seeds[k],
-/// household_seeds[k], arena) — the batch engine's lane contract plus
-/// per-lane accumulators make batching an execution detail, which is what
-/// lets the fleet group same-blueprint households freely. Policies without
-/// pulse-block support (pulse_width() == 0) fall back to per-lane scalar
-/// runs through the same code path run_blueprint uses.
-void run_blueprint_batch(const ScenarioSpec& spec, const ScenarioBlueprint& bp,
-                         const TouSchedule& prices,
-                         std::span<const std::uint64_t> policy_seeds,
-                         std::span<const std::uint64_t> household_seeds,
-                         RunArena& arena, std::span<EvaluationResult> out);
 
 }  // namespace rlblh

@@ -122,21 +122,6 @@ class Rng {
     for (double& v : out) v = canonical(engine_()) * span + lo;
   }
 
-  /// Strided fill: writes `count` uniform reals in [lo, hi) to out[0],
-  /// out[stride], ..., the lane-shaped counterpart of fill_uniform (a batch
-  /// generator writing one household's draws straight into an interval-major
-  /// SoA buffer). Draw-for-draw identical to `count` uniform(lo, hi) calls.
-  void fill_uniform_strided(double lo, double hi, double* out,
-                            std::size_t stride, std::size_t count) {
-    RLBLH_REQUIRE(lo <= hi, "Rng::fill_uniform_strided: lo must be <= hi");
-    RLBLH_REQUIRE(out != nullptr && stride >= 1,
-                  "Rng::fill_uniform_strided: need a target with stride >= 1");
-    const double span = hi - lo;
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i * stride] = canonical(engine_()) * span + lo;
-    }
-  }
-
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int uniform_int(int lo, int hi) {
     RLBLH_REQUIRE(lo <= hi, "Rng::uniform_int: lo must be <= hi");
@@ -177,20 +162,5 @@ class Rng {
  private:
   Mt19937_64 engine_;
 };
-
-/// Lane-batched uniform draws: out[k] is ONE uniform [0, 1) draw from
-/// *rngs[k], in lane order. Each engine sees exactly the single draw it
-/// would make in a scalar run — only the interleaving across lanes changes,
-/// which is invisible because the engines are independent. This is the
-/// primitive behind lane-native epsilon-greedy: all W exploration coins are
-/// flipped in one pass instead of W virtual round-trips.
-inline void fill_uniform_lanes(std::span<Rng* const> rngs,
-                               std::span<double> out) {
-  RLBLH_REQUIRE(rngs.size() == out.size(),
-                "fill_uniform_lanes: lane counts must match");
-  for (std::size_t k = 0; k < rngs.size(); ++k) {
-    out[k] = rngs[k]->uniform();
-  }
-}
 
 }  // namespace rlblh

@@ -63,6 +63,13 @@ TEST(SpecParams, BadValuesThrowConfigError) {
   EXPECT_THROW(params.get_bool("x", false), ConfigError);
   params.set("partial", "12abc");
   EXPECT_THROW(params.get_double("partial", 0.0), ConfigError);
+  // Integers are digits only: no sign to wrap, no whitespace to skip.
+  for (const char* bad : {"-1", " 7", "+7", "7 ", "", "18446744073709551616"}) {
+    params.set("n", bad);
+    EXPECT_THROW(params.get_u64("n", 0), ConfigError) << "'" << bad << "'";
+  }
+  params.set("n", "18446744073709551615");
+  EXPECT_EQ(params.get_u64("n", 0), 18446744073709551615ULL);
 }
 
 TEST(SpecParams, BoolAcceptsTheDocumentedSpellings) {

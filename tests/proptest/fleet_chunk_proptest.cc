@@ -78,8 +78,7 @@ Domain<FleetCase> fleet_domain() {
     FleetCase value;
     const int n = rng.uniform_int(1, 10);
     // Draw fewer distinct specs than households and cycle them, so fleets
-    // usually repeat blueprints — the precondition for lockstep batches to
-    // form under the batch_width variants.
+    // usually repeat blueprints and share cached ones.
     const int distinct = rng.uniform_int(1, n);
     std::vector<ScenarioSpec> pool;
     pool.reserve(static_cast<std::size_t>(distinct));
@@ -160,28 +159,22 @@ TEST(FleetChunkingInvariance, ResultsIdenticalAcrossChunkSizesAndThreads) {
         struct Variant {
           std::size_t chunk;
           std::size_t threads;
-          std::size_t batch_width;
         };
-        // Lockstep batching joins chunk size and thread count as a third
-        // execution detail that must be bitwise invisible: widths cover
-        // scalar (0/1), sub-vector (2, 3) and full-vector (8) batches.
-        const Variant variants[] = {{7, 2, 0},
-                                    {64, 3, 2},
-                                    {n, 8, 0},
-                                    {0 /* auto */, 4, 3},
-                                    {n, 2, 1},
-                                    {n, 1, 8}};
+        const Variant variants[] = {{7, 2},
+                                    {64, 3},
+                                    {n, 8},
+                                    {0 /* auto */, 4},
+                                    {n, 2},
+                                    {n, 1}};
         for (const Variant& variant : variants) {
           FleetOptions options;
           options.threads = variant.threads;
           options.chunk = variant.chunk;
-          options.batch_width = variant.batch_width;
           const FleetResult chunked =
               FleetSimulator(value.specs, options).run(fleet_seed);
           const std::string label =
               "chunk=" + std::to_string(variant.chunk) +
-              ",threads=" + std::to_string(variant.threads) +
-              ",batch_width=" + std::to_string(variant.batch_width);
+              ",threads=" + std::to_string(variant.threads);
           PROPTEST_CHECK(chunked.households.size() == n, label);
           for (std::size_t h = 0; h < n; ++h) {
             require_bitwise_equal(reference.households[h],

@@ -316,81 +316,13 @@ TEST(FleetArenaReuse, GeometrySwitchesInsideAChunkAreClean) {
   per_household.threads = 1;
   per_household.chunk = 1;
 
-  const FleetResult batched = FleetSimulator(specs, one_chunk).run(5);
+  const FleetResult chunked = FleetSimulator(specs, one_chunk).run(5);
   const FleetResult isolated = FleetSimulator(specs, per_household).run(5);
-  ASSERT_EQ(batched.households.size(), isolated.households.size());
+  ASSERT_EQ(chunked.households.size(), isolated.households.size());
   for (std::size_t index = 0; index < specs.size(); ++index) {
-    expect_bitwise_equal(batched.households[index],
+    expect_bitwise_equal(chunked.households[index],
                          isolated.households[index]);
   }
-}
-
-/// A fleet with enough same-blueprint households for lockstep batches to
-/// actually form: the mixed fleet, plus nine extra copies of two of its
-/// specs (the blueprint cache keys on the seed-normalized spec text, so the
-/// copies share blueprints and get grouped).
-std::vector<ScenarioSpec> batchable_fleet() {
-  std::vector<ScenarioSpec> specs = mixed_fleet();
-  const ScenarioSpec rlblh = specs[0];
-  const ScenarioSpec lowpass = specs[1];  // pulse_width 0: fallback path
-  const ScenarioSpec stepping = specs[2];
-  for (int i = 0; i < 5; ++i) specs.push_back(rlblh);
-  for (int i = 0; i < 4; ++i) specs.push_back(stepping);
-  for (int i = 0; i < 3; ++i) specs.push_back(lowpass);
-  return specs;
-}
-
-// Lockstep batching is an execution detail: turning it on, at any width,
-// must not change a single bit of any household result or aggregate. The
-// widths cover full batches, remainders, a width larger than any blueprint
-// group (so only the scalar path runs) and the scalar-synonym width 1.
-TEST(FleetBatching, BatchWidthDoesNotChangeResultsBitwise) {
-  const std::vector<ScenarioSpec> specs = batchable_fleet();
-  const std::uint64_t fleet_seed = 11;
-
-  FleetOptions scalar;
-  scalar.threads = 1;
-  scalar.chunk = 1;
-  const FleetResult reference = FleetSimulator(specs, scalar).run(fleet_seed);
-
-  for (const std::size_t width :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8},
-        std::size_t{64}}) {
-    FleetOptions options;
-    options.threads = 2;
-    options.batch_width = width;
-    const FleetResult batched =
-        FleetSimulator(specs, options).run(fleet_seed);
-    ASSERT_EQ(batched.households.size(), specs.size()) << width;
-    for (std::size_t index = 0; index < specs.size(); ++index) {
-      expect_bitwise_equal(reference.households[index],
-                           batched.households[index]);
-    }
-    expect_bitwise_equal(reference.saving_ratio, batched.saving_ratio);
-    expect_bitwise_equal(reference.mean_cc, batched.mean_cc);
-    expect_bitwise_equal(reference.normalized_mi, batched.normalized_mi);
-    EXPECT_EQ(reference.battery_violations, batched.battery_violations);
-  }
-}
-
-// Batching composes with the memory-lean mode: aggregates survive dropping
-// the per-household vector under a batched run.
-TEST(FleetBatching, BatchingComposesWithDroppedHouseholdResults) {
-  const std::vector<ScenarioSpec> specs = batchable_fleet();
-  FleetOptions batched;
-  batched.threads = 2;
-  batched.batch_width = 4;
-  const FleetResult full = FleetSimulator(specs, batched).run(13);
-
-  FleetOptions lean = batched;
-  lean.keep_households = false;
-  const FleetResult dropped = FleetSimulator(specs, lean).run(13);
-
-  EXPECT_TRUE(dropped.households.empty());
-  expect_bitwise_equal(full.saving_ratio, dropped.saving_ratio);
-  expect_bitwise_equal(full.mean_cc, dropped.mean_cc);
-  expect_bitwise_equal(full.normalized_mi, dropped.normalized_mi);
-  EXPECT_EQ(full.battery_violations, dropped.battery_violations);
 }
 
 }  // namespace

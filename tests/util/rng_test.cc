@@ -327,35 +327,6 @@ TEST(Rng, FillsMatchStdDistributionsBitwise) {
     ASSERT_EQ(bits(out[i]), bits(expected_draw())) << "fill_uniform " << i;
   }
 
-  constexpr std::size_t kStride = 3;
-  std::vector<double> strided(kStride * kDraws / 4, -1.0);
-  rng.fill_uniform_strided(lo, hi, strided.data(), kStride, kDraws / 4);
-  for (std::size_t i = 0; i < kDraws / 4; ++i) {
-    ASSERT_EQ(bits(strided[i * kStride]), bits(expected_draw()))
-        << "fill_uniform_strided " << i;
-    ASSERT_EQ(strided[i * kStride + 1], -1.0);
-  }
-
-  // Lanes: each engine gives its one draw, in lane order.
-  std::vector<Rng> lanes;
-  std::vector<std::mt19937_64> lane_references;
-  for (std::uint64_t k = 0; k < 8; ++k) {
-    lanes.emplace_back(100 + k);
-    lane_references.emplace_back(100 + k);
-  }
-  std::vector<Rng*> lane_ptrs;
-  for (Rng& lane : lanes) lane_ptrs.push_back(&lane);
-  std::vector<double> coins(lanes.size());
-  for (std::size_t round = 0; round < kDraws / lanes.size(); ++round) {
-    fill_uniform_lanes(lane_ptrs, coins);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const double expected =
-          std::uniform_real_distribution<double>(0.0, 1.0)(
-              lane_references[k]);
-      ASSERT_EQ(bits(coins[k]), bits(expected))
-          << "lane " << k << " round " << round;
-    }
-  }
   EXPECT_EQ(text_of(rng.engine()), text_of(reference));
 }
 
