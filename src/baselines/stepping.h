@@ -41,20 +41,14 @@ class SteppingPolicy final : public BlhPolicy {
   void observe_usage(std::size_t n, double usage) override;
   std::string_view name() const override { return "stepping"; }
 
-  // Pulse-block fast path. The step decision re-evaluates the battery band
-  // every interval, so blocks are width 1; the overrides forward to the
-  // per-interval members and exist so the engine's blocked loop (with its
-  // per-segment rate hoisting and resize-once writes) applies here too.
-  std::size_t pulse_width() const override { return 1; }
+  // The step decision re-evaluates the battery band every interval, so
+  // blocks keep the default width 1. This override equals the base-class
+  // default; in this final class its reading() call is direct rather than
+  // a second virtual dispatch per interval.
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override {
     (void)width;
     return reading(n0, battery_level);
-  }
-  void observe_block(std::size_t n0, ConstTraceLane usage) override {
-    for (std::size_t i = 0; i < usage.size(); ++i) {
-      observe_usage(n0 + i, usage[i]);
-    }
   }
 
   /// Current step index (reading = index * step).

@@ -3,22 +3,11 @@
 // A policy decides the grid draw y_n for every measurement interval. The key
 // contract, inherited from the paper's system model (Section II), is that
 // y_n is chosen *before* the interval's usage x_n is known — the battery is
-// the buffer that absorbs the difference. The simulator drives a policy as:
-//
-//     policy.begin_day(prices);
-//     for n in [0, n_M):
-//         y = policy.reading(n, battery.level());
-//         battery.step(y, x_n);
-//         policy.observe_usage(n, x_n);
-//     policy.end_day();
-//
-// Pulse-block fast path: RL-BLH readings are rectangular pulses — y_n is
-// constant across each decision interval of n_D measurement intervals — so
-// a policy may additionally advertise pulse_width() > 0 and serve whole
-// blocks through fill_block()/observe_block(). The engine then pays one
-// virtual call per block instead of two per interval and runs a tight
-// non-virtual scalar loop in between. A driver must use one protocol per
-// day, never mix them: either the per-interval pair above, or
+// the buffer that absorbs the difference. RL-BLH readings are rectangular
+// pulses — y_n is constant across each decision interval of n_D
+// measurement intervals — so the engine (sim/engine.h) drives every policy
+// block by block, with W = pulse_width() >= 1 and blocks tiling [0, n_M) in
+// order:
 //
 //     policy.begin_day(prices);
 //     for each block [n0, n0 + width):          // width = min(W, n_M - n0)
@@ -27,7 +16,11 @@
 //         policy.observe_block(n0, {x_n0 .. x_n0+width-1});
 //     policy.end_day();
 //
-// with W = pulse_width() and blocks tiling [0, n_M) in order.
+// A width-1 block's observe arrives as the single observe_usage(n0, x_n0)
+// call it equals. The per-interval pair reading()/observe_usage() remains
+// the contract behind the block defaults: a policy that implements only
+// those runs as W = 1 blocks, and block overrides must be observably
+// identical to them.
 #pragma once
 
 #include <cstddef>
@@ -67,18 +60,18 @@ class BlhPolicy {
   virtual void end_day() {}
 
   /// Width of the rectangular pulse this policy emits, in measurement
-  /// intervals: the engine may drive the policy block-wise (see the header
-  /// comment) with blocks of this width tiling the day in order, the last
-  /// one truncated. 0 (the default) means no block support — the engine
-  /// must use the per-interval protocol. Must stay constant within a day.
-  virtual std::size_t pulse_width() const { return 0; }
+  /// intervals: the engine drives the policy with blocks of this width
+  /// tiling the day in order, the last one truncated (see the header
+  /// comment). Must be >= 1 — the engine rejects 0 — and stay constant
+  /// within a day. The default, 1, is one decision per interval.
+  virtual std::size_t pulse_width() const { return 1; }
 
   /// Returns the constant grid draw y for the whole block [n0, n0 + width),
-  /// given the battery level at the start of the block. Only called when
-  /// pulse_width() > 0, with n0 a multiple of pulse_width() and
-  /// width = min(pulse_width(), n_M - n0). The default forwards to
-  /// reading(n0, ...), which is correct for any policy whose reading is
-  /// constant across the block and samples state only at block boundaries.
+  /// given the battery level at the start of the block. Called with n0 a
+  /// multiple of pulse_width() and width = min(pulse_width(), n_M - n0).
+  /// The default forwards to reading(n0, ...), which is correct for any
+  /// policy whose reading is constant across the block and samples state
+  /// only at block boundaries.
   virtual double fill_block(std::size_t n0, std::size_t width,
                             double battery_level) {
     (void)width;
@@ -86,10 +79,9 @@ class BlhPolicy {
   }
 
   /// Reports the realized usage of the whole block [n0, n0 + usage.size())
-  /// after it completed. The view may be strided or contiguous — a
-  /// DayTrace or span converts implicitly. The default forwards to
-  /// observe_usage() per interval; overrides must be observably identical
-  /// to that loop.
+  /// after it completed. The engine passes a contiguous (stride-1) view of
+  /// its usage buffer. The default forwards to observe_usage() per
+  /// interval; overrides must be observably identical to that loop.
   /// (Defined out of line on purpose: with the body visible, the scalar
   /// engine's per-block call gets speculatively devirtualized against the
   /// default, which pessimizes every policy that overrides it.)

@@ -39,52 +39,37 @@ bool HouseholdSession::apply_readings(std::uint32_t day,
   RLBLH_REQUIRE(day == days_,
                 "serve session: readings for day " + std::to_string(day) +
                     " but the session is at day " + std::to_string(days_));
-  if (deferred_) {
-    // Validate-and-buffer twin of the eager path below: identical checks,
-    // identical messages, and the same partial-application cursor on a bad
-    // value mid-frame (the valid prefix stays consumed) — so the reply for
-    // every frame, good or bad, is byte-identical to the eager path's.
-    const std::size_t cursor = next_interval();
-    if (!day_open()) {
-      RLBLH_REQUIRE(first_interval == 0,
-                    "serve session: a day must start at interval 0");
-    }
-    RLBLH_REQUIRE(first_interval == cursor,
-                  "serve session: readings at interval " +
-                      std::to_string(first_interval) + " but interval " +
-                      std::to_string(cursor) + " is next");
-    RLBLH_REQUIRE(first_interval + values.size() <= prices_.intervals(),
-                  "serve session: readings run past the end of the day");
-    for (const double v : values) {
-      RLBLH_REQUIRE(std::isfinite(v) && v >= 0.0,
-                    "StreamEngine: usage must be finite and >= 0");
-      pending_.push_back(v);
-    }
-    // Complete days are NOT finalized here: the owning shard calls
-    // finalize_day_stream() before it sends the ack.
-    return day_complete();
-  }
-  if (!engine_.day_open()) {
+  // One validation for both modes, run before anything is applied.
+  const std::size_t cursor = next_interval();
+  if (!day_open()) {
     RLBLH_REQUIRE(first_interval == 0,
                   "serve session: a day must start at interval 0");
-    engine_.begin_day(prices_, battery_, *policy_);
   }
-  RLBLH_REQUIRE(first_interval == engine_.next_interval(),
+  RLBLH_REQUIRE(first_interval == cursor,
                 "serve session: readings at interval " +
                     std::to_string(first_interval) + " but interval " +
-                    std::to_string(engine_.next_interval()) + " is next");
+                    std::to_string(cursor) + " is next");
   RLBLH_REQUIRE(first_interval + values.size() <= prices_.intervals(),
                 "serve session: readings run past the end of the day");
-  for (const double v : values) engine_.push(v);
-  if (engine_.next_interval() == prices_.intervals()) {
-    const DayResult& result = engine_.finish_day();
-    savings_cents_ += result.savings_cents;
-    bill_cents_ += result.bill_cents;
-    usage_cost_cents_ += result.usage_cost_cents;
-    ++days_;
-    return true;
+  // A bad value mid-frame leaves the valid prefix before it applied.
+  std::size_t valid = 0;
+  while (valid < values.size() && std::isfinite(values[valid]) &&
+         values[valid] >= 0.0) {
+    ++valid;
   }
-  return false;
+  const std::span<const double> prefix = values.first(valid);
+  if (deferred_) {
+    pending_.insert(pending_.end(), prefix.begin(), prefix.end());
+  } else {
+    step(prefix);
+  }
+  RLBLH_REQUIRE(valid == values.size(),
+                "serve session: usage must be finite and >= 0");
+  if (next_interval() < prices_.intervals()) return false;
+  // A deferred day is closed by the owning shard, which calls
+  // finalize_day_stream() before it sends the ack.
+  if (!deferred_) finalize_day_stream();
+  return true;
 }
 
 void HouseholdSession::set_deferred(bool on) {
@@ -93,17 +78,19 @@ void HouseholdSession::set_deferred(bool on) {
   deferred_ = on;
 }
 
-void HouseholdSession::flush_pending_to_stream() {
-  if (pending_.empty()) return;
+void HouseholdSession::step(std::span<const double> values) {
+  if (values.empty()) return;
   if (!engine_.day_open()) engine_.begin_day(prices_, battery_, *policy_);
-  for (const double v : pending_) engine_.push(v);
+  engine_.push_block(values);
+}
+
+void HouseholdSession::flush_pending_to_stream() {
+  step(pending_);
   pending_.clear();
 }
 
 void HouseholdSession::finalize_day_stream() {
-  RLBLH_REQUIRE(day_complete() || (engine_.day_open() &&
-                                   engine_.next_interval() ==
-                                       prices_.intervals()),
+  RLBLH_REQUIRE(next_interval() == prices_.intervals(),
                 "serve session: finalize without a complete day");
   flush_pending_to_stream();
   const DayResult& result = engine_.finish_day();

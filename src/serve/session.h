@@ -2,11 +2,11 @@
 //
 // A HouseholdSession is the daemon-side mirror of what build_scenario wires
 // up for a simulator run — the same registries build the policy and price
-// schedule from the same spec string, the battery starts at b_M / 2 — but
-// the day loop is the push-driven StreamEngine, fed by Readings frames as
-// they arrive. Because StreamEngine is bitwise-identical to SimEngine, a
-// session that has consumed D days of a household's usage holds exactly the
-// policy/battery/RNG state a SimEngine run over the same D days would
+// schedule from the same spec string, the battery starts at b_M / 2 — and
+// the day loop is the simulator's own SimEngine, driven through its push
+// entry by Readings frames as they arrive. A session that has consumed D
+// days of a household's usage therefore holds exactly the
+// policy/battery/RNG state a simulated run over the same D days would
 // hold (serve/server_test.cc pins this differentially).
 //
 // Checkpoint contract: save() is only legal between days (the policy's
@@ -27,7 +27,7 @@
 #include "core/policy.h"
 #include "pricing/tou.h"
 #include "sim/scenario.h"
-#include "sim/stream_engine.h"
+#include "sim/engine.h"
 
 namespace rlblh::serve {
 
@@ -52,9 +52,8 @@ class HouseholdSession {
   bool day_open() const { return engine_.day_open() || !pending_.empty(); }
 
   /// Interval the next reading must carry (0 when no day is open). The
-  /// engine's cursor only counts while its day is open — StreamEngine
-  /// leaves n_ at the day length after finish_day() until the next
-  /// begin_day() resets it.
+  /// engine's cursor only counts while its day is open — SimEngine leaves
+  /// it at the day length after finish_day() until the next begin_day().
   std::size_t next_interval() const {
     return (engine_.day_open() ? engine_.next_interval() : 0) +
            pending_.size();
@@ -63,10 +62,12 @@ class HouseholdSession {
   std::size_t intervals_per_day() const { return prices_.intervals(); }
 
   /// Applies a contiguous run of usage values at (day, first_interval).
-  /// Opens the day on interval 0, closes it after the last interval. A
-  /// frame must not cross a day boundary. Throws ConfigError when the
-  /// cursor does not match the session (the server answers kOutOfOrder).
-  /// Returns true when this call completed a day.
+  /// Opens the day with its first value, closes it after the last
+  /// interval; a frame without values opens nothing. A frame must not
+  /// cross a day boundary. Throws ConfigError when the cursor does not
+  /// match the session (the server answers kOutOfOrder), and for a value
+  /// that is not finite and >= 0 — after applying the valid prefix before
+  /// it. Returns true when this call completed a day.
   bool apply_readings(std::uint32_t day, std::uint32_t first_interval,
                       std::span<const double> values);
 
@@ -84,22 +85,22 @@ class HouseholdSession {
   // A shard runs its sessions deferred: apply_readings() only validates and
   // buffers, so a mid-day frame does no engine work, and the shard closes a
   // complete day with finalize_day_stream() before it handles its next
-  // frame. Validation reproduces the eager path's checks, messages and
-  // partial-application cursor exactly, so replies are byte-identical, and
-  // the engine later receives the same values in the same order, so the
+  // frame. Both modes run one validation — same checks, messages and
+  // partial-application cursor — so replies are byte-identical, and the
+  // engine later receives the same values in the same order, so the
   // stepped state is too.
 
   /// Switches the session to deferred buffering (set once, right after
   /// construction/restore; never with a day open).
   void set_deferred(bool on);
 
-  /// Steps every buffered interval through the StreamEngine (opening the
-  /// day if needed) without closing the day — the Stats path uses this so
-  /// mid-day battery/cents queries match the eager path bitwise.
+  /// Steps every buffered interval through the engine (opening the day if
+  /// needed) without closing the day — the Stats path uses this so mid-day
+  /// battery/cents queries match the eager path bitwise.
   void flush_pending_to_stream();
 
-  /// Closes a complete deferred day through the StreamEngine (flush +
-  /// finish_day + totals).
+  /// Closes a complete day through the engine (flush + finish_day +
+  /// totals).
   void finalize_day_stream();
 
   /// Writes the full between-days state (spec, counters, cumulative cents,
@@ -110,10 +111,9 @@ class HouseholdSession {
   explicit HouseholdSession() = default;
   void build_components();
 
-  /// True when a deferred day is fully buffered and awaits finalization.
-  bool day_complete() const {
-    return !pending_.empty() && next_interval() == prices_.intervals();
-  }
+  /// Pushes `values` through the engine, opening the day first when
+  /// needed; an empty run opens nothing.
+  void step(std::span<const double> values);
 
   std::uint64_t id_ = 0;
   std::string spec_text_;
@@ -121,7 +121,7 @@ class HouseholdSession {
   TouSchedule prices_ = TouSchedule::flat(1, 0.0);  ///< replaced in build
   Battery battery_{1.0};
   std::unique_ptr<BlhPolicy> policy_;
-  StreamEngine engine_;
+  SimEngine engine_;
 
   bool deferred_ = false;
   std::vector<double> pending_;  ///< validated, not-yet-stepped usage

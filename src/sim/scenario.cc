@@ -19,12 +19,34 @@ const std::vector<std::string> kTopLevelKeys = {
     "policy", "household", "pricing", "battery", "nd",
     "seed",   "hseed",     "train",   "eval",    "mi"};
 
-/// Copies every key of `from` into `into`, replacing existing keys — the
-/// merge that lets dotted spec params override the shared geometry.
-void merge_params(SpecParams& into, const SpecParams& from) {
-  for (const auto& key : from.keys()) {
-    into.set(key, from.get_string(key, ""));
+/// The policy's parameter bag: the shared geometry first, then the dotted
+/// `policy.*` overrides on top (so a pinned policy.seed wins and stays).
+SpecParams policy_bag(const ScenarioSpec& spec) {
+  SpecParams bag;
+  bag.set("battery", spec.battery_kwh);
+  bag.set("nd", spec.nd);
+  bag.set("seed", spec.seed);
+  for (const auto& key : spec.policy_params.keys()) {
+    bag.set(key, spec.policy_params.get_string(key, ""));
   }
+  return bag;
+}
+
+/// Offline pre-training for the mdp baseline: max(train_days, 1) days from
+/// the trainer stream derive_stream_seed(household_seed, 1), built by the
+/// blueprint's household, then solve. No-op for every other policy.
+void pretrain_from(const ScenarioSpec& spec, const ScenarioBlueprint& bp,
+                   std::uint64_t household_seed, const TouSchedule& prices,
+                   BlhPolicy& policy) {
+  auto* mdp = dynamic_cast<MdpBlhPolicy*>(&policy);
+  if (mdp == nullptr || mdp->solved()) return;
+  const std::size_t days = spec.train_days > 0 ? spec.train_days : 1;
+  auto trainer = make_blueprint_source(
+      spec, bp, derive_stream_seed(household_seed, 1));
+  for (std::size_t d = 0; d < days; ++d) {
+    mdp->observe_training_day(trainer->next_day(), prices);
+  }
+  mdp->solve();
 }
 
 }  // namespace
@@ -109,26 +131,15 @@ std::unique_ptr<TraceSource> make_scenario_source(const ScenarioSpec& spec) {
 }
 
 std::unique_ptr<BlhPolicy> make_scenario_policy(const ScenarioSpec& spec) {
-  SpecParams bag;
-  bag.set("battery", spec.battery_kwh);
-  bag.set("nd", spec.nd);
-  bag.set("seed", spec.seed);
-  merge_params(bag, spec.policy_params);
-  return make_policy(spec.policy, bag);
+  return make_policy(spec.policy, policy_bag(spec));
 }
 
 void pretrain_if_needed(const ScenarioSpec& spec, const TouSchedule& prices,
                         BlhPolicy& policy) {
-  auto* mdp = dynamic_cast<MdpBlhPolicy*>(&policy);
-  if (mdp == nullptr || mdp->solved()) return;
-  const std::size_t days = spec.train_days > 0 ? spec.train_days : 1;
-  auto trainer = make_trace_source(
-      spec.household, spec.household_params,
-      derive_stream_seed(spec.household_seed(), 1));
-  for (std::size_t d = 0; d < days; ++d) {
-    mdp->observe_training_day(trainer->next_day(), prices);
-  }
-  mdp->solve();
+  // A blueprint without a resolved household builds the trainer through
+  // the household registry.
+  pretrain_from(spec, ScenarioBlueprint{}, spec.household_seed(), prices,
+                policy);
 }
 
 Scenario build_scenario(const ScenarioSpec& spec) {
@@ -162,12 +173,7 @@ ScenarioBlueprint make_scenario_blueprint(const ScenarioSpec& spec) {
     bp.household =
         make_household_config(spec.household, spec.household_params);
   }
-  // Mirror make_scenario_policy's bag exactly: shared geometry first, then
-  // the dotted overrides (so a pinned policy.seed lands on top and stays).
-  bp.policy_bag.set("battery", spec.battery_kwh);
-  bp.policy_bag.set("nd", spec.nd);
-  bp.policy_bag.set("seed", spec.seed);
-  merge_params(bp.policy_bag, spec.policy_params);
+  bp.policy_bag = policy_bag(spec);
   bp.policy_seed_pinned = spec.policy_params.has("seed");
   return bp;
 }
@@ -211,18 +217,7 @@ EvaluationResult run_blueprint(const ScenarioSpec& spec,
     bag.set("seed", policy_seed);
     policy = make_policy(spec.policy, bag);
   }
-  // Blueprint-aware pretrain_if_needed: same trainer stream derivation,
-  // but the trainer source comes from the cached household config.
-  if (auto* mdp = dynamic_cast<MdpBlhPolicy*>(policy.get());
-      mdp != nullptr && !mdp->solved()) {
-    const std::size_t days = spec.train_days > 0 ? spec.train_days : 1;
-    auto trainer = make_blueprint_source(
-        spec, bp, derive_stream_seed(household_seed, 1));
-    for (std::size_t d = 0; d < days; ++d) {
-      mdp->observe_training_day(trainer->next_day(), prices);
-    }
-    mdp->solve();
-  }
+  pretrain_from(spec, bp, household_seed, prices, *policy);
 
   Battery battery(spec.battery_kwh, spec.battery_kwh / 2.0);
   SimEngine& engine = arena.engine();

@@ -1,15 +1,16 @@
 // Differential property suite for the pulse-blocked engine hot path.
 //
-// SimEngine::run_day dispatches policies that expose a pulse width to a
-// blocked loop (one fill_block/observe_block pair per pulse, per-segment
-// price rates, resize-once writes). Its contract is bitwise equality with
-// the per-interval protocol: same readings, same battery levels, same
+// SimEngine drives every policy through one blocked loop (one
+// fill_block/observe_block pair per pulse, per-segment price rates,
+// resize-once writes). Its contract is bitwise equality with the
+// per-interval protocol: same readings, same battery levels, same
 // accumulated cents, down to the last ULP. This suite checks that contract
-// directly: each case runs the blocked engine and a reference per-interval
-// loop (compiled into this test, mirroring the engine's fallback path) over
-// identical random scenarios — tariff shape, day length, truncated last
-// pulse, battery start level, usage structure — and compares every output
-// bit for bit.
+// directly: each case runs the engine and a reference per-interval loop
+// (compiled into this test — the oracle is the only place that loop still
+// exists) over identical random scenarios — tariff shape, day length,
+// truncated last pulse, battery start level, usage structure — and
+// compares every output bit for bit. The low-pass case covers width-1
+// blocks through the base-class fill_block/observe_block defaults.
 //
 // Labeled `proptest` in CTest; filter with `ctest -LE proptest` to skip, or
 // scale the case count with RLBLH_PROPTEST_ITERS.
@@ -75,8 +76,9 @@ struct RefDay {
   double usage_cost_cents = 0.0;
 };
 
-/// The per-interval protocol, expression for expression the engine's
-/// fallback path: this is the behaviour the blocked loop must reproduce.
+/// The per-interval protocol: reading(), one battery step and
+/// observe_usage() per interval, with the price looked up per interval.
+/// This is the behaviour the blocked loop must reproduce.
 RefDay run_reference_day(const DayTrace& usage, const TouSchedule& prices,
                          Battery& battery, BlhPolicy& policy) {
   const std::size_t n_m = usage.intervals();
@@ -243,6 +245,29 @@ TEST(EngineDiffProptest, SteppingBlockedMatchesPerIntervalReference) {
             config.battery_capacity, parts.initial_level, config.usage_cap);
       },
       suite_options(3));
+  ASSERT_TRUE(result.success) << result.message;
+}
+
+TEST(EngineDiffProptest, LowPassBlockedMatchesPerIntervalReference) {
+  const auto result = for_all(
+      "low-pass blocked == per-interval", proptest::rlblh_config_domain(),
+      [](const RlBlhConfig& config, Rng& rng) {
+        LowPassConfig lp;
+        lp.intervals_per_day = config.intervals_per_day;
+        lp.usage_cap = config.usage_cap;
+        lp.battery_capacity = config.battery_capacity;
+        lp.target_smoothing = rng.uniform(0.0005, 0.05);
+        lp.initial_target = config.usage_cap * rng.uniform(0.0, 1.0);
+        const ScenarioParts parts =
+            gen_scenario(config.intervals_per_day, config.usage_cap,
+                         config.battery_capacity, kDaysPerCase, rng);
+        LowPassPolicy blocked(lp);
+        LowPassPolicy reference(lp);
+        check_blocked_matches_reference(
+            blocked, reference, parts.days, parts.prices,
+            config.battery_capacity, parts.initial_level, config.usage_cap);
+      },
+      suite_options(6));
   ASSERT_TRUE(result.success) << result.message;
 }
 

@@ -5,7 +5,9 @@
 // buffered prefix through the engine) must end every day with checkpoint
 // bytes IDENTICAL to eager per-frame streaming — battery level, violation
 // count, cumulative wasted/grid-extra totals, money, and policy weights,
-// all bit-for-bit.
+// all bit-for-bit. Between frames both modes must report the same cursor
+// and open-day flag (the fields of a ReadingsAck or HelloAck), also around
+// frames that carry no values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +32,8 @@ struct FleetCase {
   double battery_kwh = 13.5;
   std::size_t chunk = 240;         ///< readings per apply_readings call
   std::vector<bool> stats_mid_day;  ///< per day: flush after the first frame
+  /// Per day: an empty frame before the day's first frame and one after it.
+  std::vector<bool> empty_frames;
 };
 
 proptest::Domain<FleetCase> fleet_domain() {
@@ -46,8 +50,10 @@ proptest::Domain<FleetCase> fleet_domain() {
     const std::size_t chunks[] = {1, 7, 240, 480, 1440};
     c.chunk = chunks[rng.uniform_int(0, 4)];
     c.stats_mid_day.resize(c.days);
+    c.empty_frames.resize(c.days);
     for (std::size_t d = 0; d < c.days; ++d) {
       c.stats_mid_day[d] = rng.uniform_int(0, 1) == 1;
+      c.empty_frames[d] = rng.uniform_int(0, 1) == 1;
     }
     return c;
   };
@@ -62,6 +68,7 @@ proptest::Domain<FleetCase> fleet_domain() {
       FleetCase c = from;
       c.days = 1;
       c.stats_mid_day.assign(1, from.stats_mid_day[0]);
+      c.empty_frames.assign(1, from.empty_frames[0]);
       out.push_back(std::move(c));
     }
     if (from.chunk != 1440) {
@@ -77,7 +84,8 @@ proptest::Domain<FleetCase> fleet_domain() {
         << c.seed_base << " battery=" << c.battery_kwh << " chunk=" << c.chunk
         << " stats=[";
     for (std::size_t d = 0; d < c.days; ++d) {
-      out << (c.stats_mid_day[d] ? 'S' : '-');
+      out << (c.stats_mid_day[d] ? 'S' : '-')
+          << (c.empty_frames[d] ? 'E' : '-');
     }
     out << "]}";
     return out.str();
@@ -97,6 +105,14 @@ std::string checkpoint_bytes(const HouseholdSession& session) {
   std::stringstream out;
   session.save(out);
   return out.str();
+}
+
+/// Both modes must answer the same cursor and open-day flag.
+void check_same_cursor(const HouseholdSession& eager,
+                       const HouseholdSession& deferred, const char* where) {
+  PROPTEST_CHECK(eager.next_interval() == deferred.next_interval() &&
+                     eager.day_open() == deferred.day_open(),
+                 std::string("cursor diverged ") + where);
 }
 
 TEST(ServeDeferredProptest, DeferredDaysMatchEagerStreamingBitwise) {
@@ -126,6 +142,16 @@ TEST(ServeDeferredProptest, DeferredDaysMatchEagerStreamingBitwise) {
             DayTrace trace(n_m);
             sources[k]->next_day_into(trace);
             const std::vector<double>& values = trace.values();
+            if (c.empty_frames[d]) {
+              // A frame without values validates its cursor and opens
+              // nothing, so a checkpoint still succeeds in both modes.
+              eager[k]->apply_readings(day, 0, {});
+              deferred[k]->apply_readings(day, 0, {});
+              check_same_cursor(*eager[k], *deferred[k], "at a day boundary");
+              PROPTEST_CHECK(
+                  checkpoint_bytes(*deferred[k]) == checkpoint_bytes(*eager[k]),
+                  "checkpoint after an empty frame diverged");
+            }
             bool closed = false;
             for (std::size_t n0 = 0; n0 < n_m; n0 += c.chunk) {
               const auto first = static_cast<std::uint32_t>(n0);
@@ -133,7 +159,16 @@ TEST(ServeDeferredProptest, DeferredDaysMatchEagerStreamingBitwise) {
               const std::span<const double> frame(values.data() + n0, width);
               eager[k]->apply_readings(day, first, frame);
               closed = deferred[k]->apply_readings(day, first, frame);
-              if (n0 == 0 && c.stats_mid_day[d] && !closed) {
+              if (closed) continue;
+              check_same_cursor(*eager[k], *deferred[k], "mid-day");
+              if (n0 == 0 && c.empty_frames[d]) {
+                const auto next =
+                    static_cast<std::uint32_t>(eager[k]->next_interval());
+                eager[k]->apply_readings(day, next, {});
+                deferred[k]->apply_readings(day, next, {});
+                check_same_cursor(*eager[k], *deferred[k], "mid-day");
+              }
+              if (n0 == 0 && c.stats_mid_day[d]) {
                 deferred[k]->flush_pending_to_stream();
                 PROPTEST_CHECK(
                     deferred[k]->battery_level() == eager[k]->battery_level(),

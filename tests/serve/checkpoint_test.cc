@@ -57,6 +57,12 @@ bool feed_day(HouseholdSession& session, std::uint32_t day,
   return completed;
 }
 
+std::string checkpoint_bytes(const HouseholdSession& session) {
+  std::stringstream out;
+  session.save(out);
+  return out.str();
+}
+
 TEST(HouseholdSessionTest, MatchesBatchSimEngineBitwise) {
   const ScenarioSpec spec = ScenarioSpec::parse(kSpec);
   HouseholdSession session(33, kSpec);
@@ -124,6 +130,33 @@ TEST(HouseholdSessionTest, SaveWhileDayOpenThrows) {
   ASSERT_TRUE(session.day_open());
   std::stringstream out;
   EXPECT_THROW(session.save(out), ConfigError);
+}
+
+TEST(HouseholdSessionTest, FramesThatStepNothingOpenNoDayInEitherMode) {
+  HouseholdSession eager(4, kSpec);
+  HouseholdSession deferred(4, kSpec);
+  deferred.set_deferred(true);
+  const std::string fresh = checkpoint_bytes(eager);
+  const std::size_t n_m = eager.intervals_per_day();
+  const std::vector<double> bad_first = {-1.0, 0.5};
+  const std::vector<double> too_long(n_m + 1, 0.5);
+  for (HouseholdSession* session : {&eager, &deferred}) {
+    SCOPED_TRACE(session == &eager ? "eager" : "deferred");
+    // No values, a bad first value, a frame past the end of the day: each
+    // is answered without opening the day, so a Checkpoint still succeeds.
+    EXPECT_FALSE(session->apply_readings(0, 0, {}));
+    EXPECT_THROW(session->apply_readings(0, 0, bad_first), ConfigError);
+    EXPECT_THROW(session->apply_readings(0, 0, too_long), ConfigError);
+    EXPECT_FALSE(session->day_open());
+    EXPECT_EQ(session->next_interval(), 0u);
+    EXPECT_EQ(checkpoint_bytes(*session), fresh);
+
+    // A bad value mid-frame keeps the valid prefix before it.
+    const std::vector<double> bad_mid = {0.5, 0.25, -1.0, 0.5};
+    EXPECT_THROW(session->apply_readings(0, 0, bad_mid), ConfigError);
+    EXPECT_TRUE(session->day_open());
+    EXPECT_EQ(session->next_interval(), 2u);
+  }
 }
 
 TEST(HouseholdSessionTest, RejectsNonCheckpointablePolicy) {
