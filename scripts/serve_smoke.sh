@@ -5,7 +5,11 @@
 # guarantee: a daemon SIGKILLed mid-run and restarted from its checkpoint
 # directory must end a fleet run with checkpoint files byte-identical to a
 # daemon that was never interrupted. Also exercises the graceful SIGTERM
-# drain (checkpoint-then-exit, clean exit code) on every daemon.
+# drain (checkpoint-then-exit, clean exit code) on every daemon. The
+# reference daemon runs with --obs and must leave a run manifest that
+# counts its checkpoints and their fsync time; the victim daemons run
+# without it, so the byte comparison also shows that recording does not
+# change a checkpoint.
 #
 # Usage: scripts/serve_smoke.sh [BUILD_DIR] [HOUSEHOLDS] [DAYS]
 set -euo pipefail
@@ -30,11 +34,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Starts a daemon named $1 over checkpoint dir $2 and waits for its listen
-# line. Sets DAEMON_PID and SOCK.
+# Starts a daemon named $1 over checkpoint dir $2, with any further
+# arguments, and waits for its listen line. Sets DAEMON_PID and SOCK.
 start_daemon() {
   SOCK="$WORK/$1.sock"
-  "$SERVE" --listen "unix:$SOCK" --checkpoint-dir "$2" \
+  "$SERVE" --listen "unix:$SOCK" --checkpoint-dir "$2" "${@:3}" \
     > "$WORK/$1.log" 2>&1 &
   DAEMON_PID=$!
   for _ in $(seq 1 200); do
@@ -70,7 +74,9 @@ compare_ckpt_dirs() {
 }
 
 echo "== reference run: $HOUSEHOLDS households x $DAYS days, no interruption"
-start_daemon "ref" "$WORK/ref_ckpt"
+export RLBLH_OBS_OUT="$WORK/ref_manifest.json"
+start_daemon "ref" "$WORK/ref_ckpt" --obs
+unset RLBLH_OBS_OUT
 run_fleet
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || { echo "error: reference daemon drain failed" >&2; exit 1; }
@@ -80,6 +86,19 @@ grep -q "stopped cleanly" "$WORK/ref.log" || {
   exit 1
 }
 DAEMON_PID=""
+python3 - "$WORK/ref_manifest.json" <<'EOF'
+import json, sys
+record = json.load(open(sys.argv[1]))
+assert record["schema"] == "rlblh-run-v1", record["schema"]
+counters = record["counters"]
+for name in ("serve.checkpoints", "serve.checkpoint.fsync_ns"):
+    assert counters.get(name, 0) > 0, f"manifest counter {name} is not > 0"
+saves = counters["serve.checkpoints"]
+print(f"reference manifest: {saves} checkpoints, "
+      f"{counters['serve.checkpoint.fsync_ns'] / saves / 1e3:.0f} us fsync "
+      f"and {counters.get('serve.checkpoint.bytes', 0) / saves / 1e3:.0f} KB "
+      f"per save")
+EOF
 
 echo "== interrupted run: SIGKILL the daemon mid-fleet, restart, resume"
 start_daemon "victim" "$WORK/victim_ckpt"

@@ -96,18 +96,21 @@ class BlhPolicy {
   // without relearning, so a policy may advertise full-state persistence:
   // save_state() writes everything that influences future behaviour —
   // learned weights, usage statistics, RNG engine state, decay counters —
-  // and load_state() restores it such that the subsequent call sequence is
-  // bitwise identical to never having serialized at all. Both are only
-  // defined BETWEEN days (after end_day(), before the next begin_day());
-  // day-scoped state is deliberately out of scope, which is what keeps the
-  // format small and the bitwise-resume argument simple (DESIGN.md §15):
-  // a restarted daemon replays the open day from the client instead.
+  // as one binary state image, and load_state() restores it such that the
+  // subsequent call sequence is bitwise identical to never having
+  // serialized at all. The streams carry raw bytes: load_state() consumes
+  // its stream to the end, so the image travels alone in its stream (the
+  // household checkpoint embeds it, DESIGN.md §15). Both are only defined
+  // BETWEEN days (after end_day(), before the next begin_day()); day-scoped
+  // state is deliberately out of scope, which is what keeps the image small
+  // and the bitwise-resume argument simple: a restarted daemon replays the
+  // open day from the client instead.
 
   /// True when save_state()/load_state() are implemented. Policies without
   /// support (the default) can still serve, but restart from scratch.
   virtual bool checkpointable() const { return false; }
 
-  /// Serializes the policy's complete between-days state. Throws
+  /// Writes the policy's complete between-days state image. Throws
   /// ConfigError when the policy is not checkpointable or a day is open.
   virtual void save_state(std::ostream& out) const {
     (void)out;
@@ -115,9 +118,10 @@ class BlhPolicy {
                       "' does not support checkpointing");
   }
 
-  /// Restores state written by save_state() on a policy constructed from
-  /// the identical configuration. Throws ConfigError/DataError on
-  /// unsupported policies or mismatched/malformed input.
+  /// Restores an image written by save_state() on a policy constructed
+  /// from the identical configuration, reading `in` to its end. Throws
+  /// ConfigError on unsupported policies, DataError on a short, trailing
+  /// or mismatched image (the policy is unchanged then).
   virtual void load_state(std::istream& in) {
     (void)in;
     throw ConfigError("policy '" + std::string(name()) +

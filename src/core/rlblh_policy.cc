@@ -1,17 +1,18 @@
 #include "core/rlblh_policy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <utility>
 
-#include "core/serialize.h"
 #include "obs/obs.h"
 #include "rl/decay.h"
 #include "rl/egreedy.h"
+#include "util/bytes.h"
 #include "util/error.h"
 
 namespace rlblh {
@@ -20,6 +21,33 @@ namespace {
 RlBlhConfig validated(RlBlhConfig config) {
   config.validate();
   return config;
+}
+
+/// A weight table in a policy image: its dimensions, then every action's
+/// weights in order.
+void write_table(ByteWriter& out, const PerActionLinearQ& q) {
+  out.u64(q.num_actions());
+  out.u64(q.dimension());
+  for (std::size_t a = 0; a < q.num_actions(); ++a) {
+    out.f64s(q.function(a).weights());
+  }
+}
+
+/// Reads a table written by write_table whose dimensions must match
+/// `shape`'s (checked before anything is allocated).
+PerActionLinearQ read_table(ByteReader& in, const PerActionLinearQ& shape) {
+  const std::uint64_t actions = in.u64();
+  const std::uint64_t dimension = in.u64();
+  if (actions != shape.num_actions() || dimension != shape.dimension()) {
+    in.fail("weight table dimensions do not match the configuration");
+  }
+  PerActionLinearQ q(shape.num_actions(), shape.dimension());
+  for (std::size_t a = 0; a < q.num_actions(); ++a) {
+    std::vector<double> weights(q.dimension());
+    in.f64s(weights);
+    q.function(a).set_weights(std::move(weights));
+  }
+  return q;
 }
 
 /// L2 norm over every weight of the table (the manifest's convergence
@@ -435,60 +463,48 @@ void RlBlhPolicy::save_state(std::ostream& out) const {
   // draw, decision and update is a pure function of it plus future inputs.
   RLBLH_REQUIRE(!day_open_,
                 "RlBlhPolicy::save_state: checkpoint only between days");
-  out << "rlblh-policy v1\n";
-  out << "day " << day_ << " episodes " << episodes_ << " learning "
-      << (learning_ ? 1 : 0) << " exploration " << (exploration_ ? 1 : 0)
-      << '\n';
-  save_weights(out, q_);
-  save_weights(out, q2_);
-  save_rng(out, rng_);
-  stats_.save(out);
-  out << "end rlblh-policy\n";
+  // Reserve the largest image this configuration can produce (every
+  // reservoir full; the tracker is nearly all of it): growing the buffer
+  // append by append would cost more than writing it.
+  const std::size_t table_bytes = 16 + 8 * q_.parameter_count();
+  std::string image;
+  image.reserve(18 + 2 * table_bytes + 8 * (Mt19937_64::state_size + 1) +
+                16 +
+                config_.intervals_per_day *
+                    (64 + 8 * (config_.stats_reservoir + config_.stats_bins)));
+  ByteWriter w(image);
+  w.u64(day_);
+  w.u64(episodes_);
+  w.u8(learning_ ? 1 : 0);
+  w.u8(exploration_ ? 1 : 0);
+  write_table(w, q_);
+  write_table(w, q2_);
+  w.u64s(rng_.engine().state());
+  w.u64(rng_.engine().position());
+  stats_.write_state(w);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
 }
 
 void RlBlhPolicy::load_state(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != "rlblh-policy v1") {
-    throw DataError("rlblh-policy: missing or wrong header (expected "
-                    "'rlblh-policy v1')");
-  }
-  std::size_t day = 0, episodes = 0;
-  int learning = 0, exploration = 0;
-  if (!std::getline(in, line)) {
-    throw DataError("rlblh-policy: truncated file (no counters line)");
-  }
-  {
-    std::string day_word, episodes_word, learning_word, exploration_word;
-    std::istringstream counters(line);
-    if (!(counters >> day_word >> day >> episodes_word >> episodes >>
-          learning_word >> learning >> exploration_word >> exploration) ||
-        day_word != "day" || episodes_word != "episodes" ||
-        learning_word != "learning" || exploration_word != "exploration" ||
-        (learning != 0 && learning != 1) ||
-        (exploration != 0 && exploration != 1)) {
-      throw DataError("rlblh-policy: malformed counters line '" + line + "'");
-    }
-  }
+  const std::string image = read_all(in);
+  ByteReader r(image, "rlblh-policy");
+  const std::uint64_t day = r.u64();
+  const std::uint64_t episodes = r.u64();
+  const std::uint8_t learning = r.u8();
+  const std::uint8_t exploration = r.u8();
+  if (learning > 1 || exploration > 1) r.fail("flags must be 0 or 1");
   // Parse into temporaries first: a malformed tail must not leave the
   // policy half-restored.
-  PerActionLinearQ q = load_weights(in);
-  PerActionLinearQ q2 = load_weights(in);
-  if (q.num_actions() != q_.num_actions() || q.dimension() != q_.dimension() ||
-      q2.num_actions() != q2_.num_actions() ||
-      q2.dimension() != q2_.dimension()) {
-    throw DataError(
-        "rlblh-policy: weight table dimensions do not match the "
-        "configuration");
-  }
-  Rng rng = load_rng(in);
+  PerActionLinearQ q = read_table(r, q_);
+  PerActionLinearQ q2 = read_table(r, q2_);
+  std::array<std::uint64_t, Mt19937_64::state_size> words;
+  r.u64s(words);
+  Rng rng = rng_;
+  rng.engine().set_state(words, r.u64());
   UsageStatsTracker stats(config_.intervals_per_day, config_.usage_cap,
                           config_.stats_bins, config_.stats_reservoir);
-  stats.load(in);
-  std::string end_word, end_name;
-  if (!(in >> end_word >> end_name) || end_word != "end" ||
-      end_name != "rlblh-policy") {
-    throw DataError("rlblh-policy: missing end marker");
-  }
+  stats.read_state(r);
+  r.expect_end();
 
   q_ = std::move(q);
   q2_ = std::move(q2);

@@ -82,50 +82,4 @@ PerActionLinearQ load_weights_file(const std::string& path) {
   return load_weights(in);
 }
 
-void save_rng(std::ostream& out, const Rng& rng) {
-  // mt19937_64's stream operators serialize the full 312-word state plus
-  // the position counter as decimal integers — exact by construction.
-  out << "rng " << rng.engine() << '\n';
-}
-
-Rng load_rng(std::istream& in) {
-  std::string word;
-  if (!(in >> word) || word != "rng") {
-    throw DataError("rng: missing or wrong header (expected 'rng')");
-  }
-  Rng rng(0);
-  if (!(in >> rng.engine())) {
-    throw DataError("rng: malformed engine state");
-  }
-  return rng;
-}
-
-void save_battery(std::ostream& out, const Battery& battery) {
-  const auto precision = out.precision(17);
-  out << "battery " << battery.capacity() << ' '
-      << battery.charge_efficiency() << ' ' << battery.discharge_efficiency()
-      << ' ' << battery.level() << ' ' << battery.violation_count() << ' '
-      << battery.total_wasted_charge() << ' ' << battery.total_grid_extra()
-      << '\n';
-  out.precision(precision);
-}
-
-void load_battery(std::istream& in, Battery& battery) {
-  std::string word;
-  double capacity = 0.0, charge_eff = 0.0, discharge_eff = 0.0, level = 0.0;
-  std::size_t violations = 0;
-  double wasted = 0.0, grid_extra = 0.0;
-  if (!(in >> word >> capacity >> charge_eff >> discharge_eff >> level >>
-        violations >> wasted >> grid_extra) ||
-      word != "battery") {
-    throw DataError("battery: malformed state line");
-  }
-  if (capacity != battery.capacity() ||
-      charge_eff != battery.charge_efficiency() ||
-      discharge_eff != battery.discharge_efficiency()) {
-    throw DataError("battery: configuration mismatch (capacity/efficiency)");
-  }
-  battery.restore(level, violations, wasted, grid_extra);
-}
-
 }  // namespace rlblh

@@ -9,15 +9,15 @@
 //     <w_0> <w_1> ... <w_{dim-1}>      # one line per action, in order
 //
 // Loading validates the header and dimensions and fails loudly on any
-// mismatch or malformed number.
+// mismatch or malformed number. This is simulate_cli's --save-weights /
+// --load-weights file; the daemon's full-state checkpoints are binary
+// images (BlhPolicy::save_state, serve/session.h).
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "battery/battery.h"
 #include "core/qfunction.h"
-#include "util/rng.h"
 
 namespace rlblh {
 
@@ -31,30 +31,5 @@ PerActionLinearQ load_weights(std::istream& in);
 /// opened.
 void save_weights_file(const std::string& path, const PerActionLinearQ& q);
 PerActionLinearQ load_weights_file(const std::string& path);
-
-// --- checkpoint primitives (daemon restart path) -------------------------
-//
-// rlblh_serve persists each household's full controller state at day
-// boundaries; these are the shared building blocks. Everything is
-// line-oriented text at max_digits10 precision, which round-trips IEEE
-// doubles exactly — the same "bitwise through text" property the weight
-// format has relied on since v1.
-
-/// Writes the RNG engine state (std::mt19937_64's 312-word state plus
-/// position) on one line.
-void save_rng(std::ostream& out, const Rng& rng);
-
-/// Restores an Rng whose subsequent draw stream is bitwise identical to the
-/// saved generator's. Throws DataError on malformed input.
-Rng load_rng(std::istream& in);
-
-/// Writes the battery's dynamic state: level and the cumulative violation
-/// accounting. Capacity/efficiencies are configuration, echoed only for
-/// validation on load.
-void save_battery(std::ostream& out, const Battery& battery);
-
-/// Restores state written by save_battery into a battery constructed with
-/// the identical configuration. Throws DataError on mismatch.
-void load_battery(std::istream& in, Battery& battery);
 
 }  // namespace rlblh

@@ -1,10 +1,9 @@
 #include "meter/usage_stats.h"
 
-#include <istream>
-#include <ostream>
-#include <string>
+#include <cstdint>
 #include <utility>
 
+#include "util/bytes.h"
 #include "util/error.h"
 
 namespace rlblh {
@@ -51,21 +50,16 @@ double UsageStatsTracker::mean_at(std::size_t n) const {
   return dists_[n].mean();
 }
 
-void UsageStatsTracker::save(std::ostream& out) const {
-  out << "usage-stats " << dists_.size() << ' ' << days_ << '\n';
-  for (const EmpiricalDistribution& dist : dists_) dist.save(out);
+void UsageStatsTracker::write_state(ByteWriter& out) const {
+  out.u64(dists_.size());
+  out.u64(days_);
+  for (const EmpiricalDistribution& dist : dists_) dist.write_state(out);
 }
 
-void UsageStatsTracker::load(std::istream& in) {
-  std::string word;
-  std::size_t intervals = 0, days = 0;
-  if (!(in >> word >> intervals >> days) || word != "usage-stats") {
-    throw DataError("UsageStatsTracker::load: malformed header");
-  }
-  if (intervals != dists_.size()) {
-    throw DataError("UsageStatsTracker::load: interval count mismatch");
-  }
-  for (EmpiricalDistribution& dist : dists_) dist.load(in);
+void UsageStatsTracker::read_state(ByteReader& in) {
+  if (in.u64() != dists_.size()) in.fail("usage stats interval count mismatch");
+  const std::uint64_t days = in.u64();
+  for (EmpiricalDistribution& dist : dists_) dist.read_state(in);
   days_ = days;
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -56,13 +55,16 @@ class UsageStatsTracker {
   /// Upper bound of tracked values (x_M).
   double usage_cap() const { return cap_; }
 
-  /// Writes every interval's distribution state at full precision (the SYN
+  /// Appends every interval's distribution state to a state image: the
+  /// interval count, the days observed, then each distribution (the SYN
   /// heuristic's sampling state must survive a daemon restart bitwise).
-  void save(std::ostream& out) const;
+  void write_state(ByteWriter& out) const;
 
-  /// Restores state written by save() into a tracker of identical geometry.
-  /// Throws DataError on malformed input or geometry mismatch.
-  void load(std::istream& in);
+  /// Restores state written by write_state() into a tracker of identical
+  /// geometry. Throws DataError on a short or inconsistent image or a
+  /// geometry mismatch; callers decode into a fresh tracker, because the
+  /// intervals before a bad one are already restored then.
+  void read_state(ByteReader& in);
 
  private:
   double cap_;

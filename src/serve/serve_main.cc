@@ -6,7 +6,10 @@
 // one's policy as readings arrive, and checkpoints at day boundaries so a
 // restart resumes bitwise-identically (DESIGN.md §15). SIGTERM/SIGINT
 // trigger a graceful drain: stop accepting, finish in-flight frames,
-// persist every household's newest completed day, exit 0.
+// persist every household's newest completed day, exit 0 — or 1 when any
+// checkpoint failed to save while serving or draining. With --obs the
+// drained daemon writes an rlblh-run-v1 manifest (RUN_serve.json, or the
+// RLBLH_OBS_OUT path).
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -15,6 +18,7 @@
 #include <unistd.h>
 
 #include "core/registry.h"
+#include "obs/manifest.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "util/error.h"
@@ -101,6 +105,24 @@ int main(int argc, char** argv) {
                 server.checkpoints_written());
     std::fflush(stdout);
     server.stop();
+    if (obs_on) {
+      rlblh::obs::RunInfo info;
+      info.name = "serve";
+      info.command.assign(argv, argv + argc);
+      info.config = {{"listen", server.endpoint()},
+                     {"checkpoint_dir", config.checkpoint_dir},
+                     {"checkpoint_period_days",
+                      std::to_string(config.checkpoint_period_days)}};
+      const std::string path = rlblh::obs::default_manifest_path(info.name);
+      if (rlblh::obs::write_manifest_file(path, info)) {
+        std::printf("rlblh_serve wrote run manifest to %s\n", path.c_str());
+      }
+    }
+    if (server.checkpoint_failures() != 0) {
+      std::printf("rlblh_serve stopped with %zu failed checkpoints\n",
+                  server.checkpoint_failures());
+      return 1;
+    }
     std::printf("rlblh_serve stopped cleanly\n");
     return 0;
   } catch (const rlblh::DataError& e) {

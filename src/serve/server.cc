@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -61,6 +62,7 @@ void ServeServer::start() {
     sc.malformed = &malformed_;
     sc.days_completed = &days_completed_;
     sc.checkpoints = &checkpoints_;
+    sc.checkpoint_failures = &checkpoint_failures_;
     shards_.push_back(std::make_unique<Shard>(sc));
   }
   for (auto& shard : shards_) shard->start();
@@ -111,12 +113,19 @@ void ServeServer::stop() {
   close_listener();
   // Drain checkpoint: persist every household whose completed days are
   // newer than its last save. Households mid-day keep their last
-  // day-boundary checkpoint — the client replays the open day.
+  // day-boundary checkpoint — the client replays the open day. A failed
+  // save is counted and the pass goes on to the next household.
   for (auto& shard : shards_) {
     shard->for_each_session(
         [this](HouseholdSession& s, std::size_t& checkpointed_days) {
           if (!s.day_open() && s.days_completed() > checkpointed_days) {
-            store_.save(s);
+            try {
+              store_.save(s);
+            } catch (const std::exception&) {
+              checkpoint_failures_.fetch_add(1);
+              RLBLH_OBS_COUNT("serve.checkpoint_failures", 1);
+              return;
+            }
             checkpointed_days = s.days_completed();
             checkpoints_.fetch_add(1);
             RLBLH_OBS_COUNT("serve.checkpoints", 1);

@@ -9,16 +9,19 @@
 // arrival order. Scales to tens of thousands of connections.
 //
 // Durability: every completed day whose index hits the checkpoint period is
-// persisted through CheckpointStore before the ack for the closing frame is
-// sent, so an acked day_completed=1 is on disk. A SIGKILL between acks
-// loses at most the open (unacked) day, which the client replays on
-// reconnect — the kill/restart differential test asserts the resumed
-// trajectory is bitwise-identical to an uninterrupted one.
+// persisted through CheckpointStore (written, fsynced, renamed, directory
+// fsynced) before the ack for the closing frame is sent, so an acked
+// day_completed=1 is on disk. A failed save answers the frame with
+// Error{kInternal} instead and is retried at the next close or the drain.
+// A SIGKILL between acks loses at most the open (unacked) day, which the
+// client replays on reconnect — the kill/restart differential test asserts
+// the resumed trajectory is bitwise-identical to an uninterrupted one.
 //
 // stop() is the SIGTERM path: stop accepting, wake every connection, let
 // in-flight frames finish, checkpoint every household with unsaved
-// completed days, then return. abort_without_checkpoint() simulates a crash
-// for tests (sockets die, nothing new is written).
+// completed days (counting, not throwing, the saves that fail), then
+// return. abort_without_checkpoint() simulates a crash for tests (sockets
+// die, nothing new is written).
 #pragma once
 
 #include <atomic>
@@ -77,6 +80,12 @@ class ServeServer {
   std::size_t malformed_frames() const { return malformed_.load(); }
   std::size_t days_completed() const { return days_completed_.load(); }
   std::size_t checkpoints_written() const { return checkpoints_.load(); }
+  /// Saves that failed, while serving and in the drain.
+  std::size_t checkpoint_failures() const {
+    return checkpoint_failures_.load();
+  }
+  /// Checkpoint files moved aside as corrupt on Hello.
+  std::size_t checkpoints_corrupt() const { return store_.corrupt_count(); }
   /// Always 0: every day closes through its own session's stream engine.
   /// Kept because perfbench_daemon prints it.
   std::size_t batch_days_completed() const { return 0; }
@@ -105,6 +114,7 @@ class ServeServer {
   std::atomic<std::size_t> malformed_{0};
   std::atomic<std::size_t> days_completed_{0};
   std::atomic<std::size_t> checkpoints_{0};
+  std::atomic<std::size_t> checkpoint_failures_{0};
 };
 
 }  // namespace rlblh::serve

@@ -1,19 +1,31 @@
 #include "serve/session.h"
 
+#include <zlib.h>
+
 #include <cmath>
-#include <istream>
-#include <ostream>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
-#include "core/serialize.h"
+#include "util/bytes.h"
 #include "util/error.h"
 
 namespace rlblh::serve {
 
 namespace {
-constexpr const char* kMagic = "rlblh-serve-household v1";
+
+// Checkpoint image framing (DESIGN.md §15): magic and version up front,
+// a CRC32 of every earlier byte at the end.
+constexpr std::string_view kMagic = "rlblh-ck";
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
+
+std::uint32_t crc32_of(std::string_view bytes) {
+  return static_cast<std::uint32_t>(
+      crc32_z(0, reinterpret_cast<const Bytef*>(bytes.data()), bytes.size()));
 }
+
+}  // namespace
 
 HouseholdSession::HouseholdSession(std::uint64_t id,
                                    const std::string& spec_text) : id_(id) {
@@ -100,76 +112,93 @@ void HouseholdSession::finalize_day_stream() {
   ++days_;
 }
 
-void HouseholdSession::save(std::ostream& out) const {
+std::string HouseholdSession::save() const {
   RLBLH_REQUIRE(!day_open(),
                 "serve session: checkpoint only between days (the open "
                 "day's intervals are replayed by the client on resume)");
-  out << kMagic << '\n';
-  out << "id " << id_ << '\n';
-  out << "spec " << spec_text_ << '\n';
-  const auto precision = out.precision(17);
-  out << "days " << days_ << " cum " << savings_cents_ << ' ' << bill_cents_
-      << ' ' << usage_cost_cents_ << '\n';
-  out.precision(precision);
-  save_battery(out, battery_);
-  policy_->save_state(out);
-  out << "end rlblh-serve-household\n";
+  std::ostringstream policy;
+  policy_->save_state(policy);
+  const std::string_view policy_image = policy.view();
+  std::string image;
+  image.reserve(kMagic.size() + 4 + 8 + 4 + spec_text_.size() + 8 + 3 * 8 +
+                7 * 8 + policy_image.size() + kCrcBytes);
+  ByteWriter w(image);
+  w.bytes(kMagic);
+  w.u32(kVersion);
+  w.u64(id_);
+  w.u32(static_cast<std::uint32_t>(spec_text_.size()));
+  w.bytes(spec_text_);
+  w.u64(days_);
+  w.f64(savings_cents_);
+  w.f64(bill_cents_);
+  w.f64(usage_cost_cents_);
+  w.f64(battery_.capacity());
+  w.f64(battery_.charge_efficiency());
+  w.f64(battery_.discharge_efficiency());
+  w.f64(battery_.level());
+  w.u64(battery_.violation_count());
+  w.f64(battery_.total_wasted_charge());
+  w.f64(battery_.total_grid_extra());
+  w.bytes(policy_image);
+  w.u32(crc32_of(image));
+  return image;
 }
 
 std::unique_ptr<HouseholdSession> HouseholdSession::restore(
-    std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    throw DataError("serve checkpoint: missing or wrong header (expected '" +
-                    std::string(kMagic) + "')");
+    std::string_view image) {
+  if (image.size() < kMagic.size() + sizeof(kVersion) + kCrcBytes) {
+    throw DataError("serve checkpoint: truncated (" +
+                    std::to_string(image.size()) + " bytes)");
   }
-  std::uint64_t id = 0;
-  {
-    std::string word;
-    if (!(in >> word >> id) || word != "id") {
-      throw DataError("serve checkpoint: malformed id line");
-    }
+  const std::string_view body = image.substr(0, image.size() - kCrcBytes);
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, image.data() + body.size(), kCrcBytes);
+  if (crc != crc32_of(body)) {
+    throw DataError(
+        "serve checkpoint: CRC32 mismatch (damaged, truncated, or not a v2 "
+        "checkpoint)");
   }
-  std::string spec_text;
-  {
-    std::string word;
-    if (!(in >> word) || word != "spec" || !(in >> std::ws) ||
-        !std::getline(in, spec_text) || spec_text.empty()) {
-      throw DataError("serve checkpoint: malformed spec line");
-    }
+  ByteReader r(body, "serve checkpoint");
+  if (r.bytes(kMagic.size()) != kMagic) r.fail("wrong magic");
+  if (const std::uint32_t version = r.u32(); version != kVersion) {
+    r.fail("unsupported version " + std::to_string(version) +
+           " (this build reads version " + std::to_string(kVersion) + ")");
   }
-  std::size_t days = 0;
-  double savings = 0.0, bill = 0.0, usage_cost = 0.0;
-  {
-    std::string days_word, cum_word;
-    if (!(in >> days_word >> days >> cum_word >> savings >> bill >>
-          usage_cost) ||
-        days_word != "days" || cum_word != "cum") {
-      throw DataError("serve checkpoint: malformed totals line");
-    }
-  }
-
   auto session = std::unique_ptr<HouseholdSession>(new HouseholdSession());
-  session->id_ = id;
+  // Component constructors and Battery::restore report bad values as
+  // ConfigError; in a checkpoint they are bad data.
   try {
-    session->spec_ = ScenarioSpec::parse(spec_text);
-  } catch (const ConfigError& e) {
-    throw DataError(std::string("serve checkpoint: bad spec: ") + e.what());
-  }
-  session->spec_text_ = session->spec_.canonical();
-  session->build_components();
-  session->days_ = days;
-  session->savings_cents_ = savings;
-  session->bill_cents_ = bill;
-  session->usage_cost_cents_ = usage_cost;
+    session->id_ = r.u64();
+    const std::string_view spec_text = r.bytes(r.u32());
+    session->spec_ = ScenarioSpec::parse(std::string(spec_text));
+    session->spec_text_ = session->spec_.canonical();
+    if (session->spec_text_ != spec_text) r.fail("spec is not canonical");
+    session->build_components();
+    session->days_ = r.u64();
+    session->savings_cents_ = r.f64();
+    session->bill_cents_ = r.f64();
+    session->usage_cost_cents_ = r.f64();
 
-  load_battery(in, session->battery_);
-  in >> std::ws;
-  session->policy_->load_state(in);
-  std::string end_word, end_name;
-  if (!(in >> end_word >> end_name) || end_word != "end" ||
-      end_name != "rlblh-serve-household") {
-    throw DataError("serve checkpoint: missing end marker");
+    Battery& battery = session->battery_;
+    const double capacity = r.f64();
+    const double charge_eff = r.f64();
+    const double discharge_eff = r.f64();
+    if (capacity != battery.capacity() ||
+        charge_eff != battery.charge_efficiency() ||
+        discharge_eff != battery.discharge_efficiency()) {
+      r.fail("battery configuration (capacity/efficiency) does not match "
+             "the spec");
+    }
+    const double level = r.f64();
+    const std::uint64_t violations = r.u64();
+    const double wasted = r.f64();
+    const double grid_extra = r.f64();
+    battery.restore(level, violations, wasted, grid_extra);
+
+    std::istringstream policy{std::string(r.rest())};
+    session->policy_->load_state(policy);
+  } catch (const ConfigError& e) {
+    throw DataError(std::string("serve checkpoint: ") + e.what());
   }
   return session;
 }

@@ -10,17 +10,22 @@
 // hold (serve/server_test.cc pins this differentially).
 //
 // Checkpoint contract: save() is only legal between days (the policy's
-// day-scoped state is empty there — DESIGN.md §15); a session restored from
-// save()'s output continues bitwise-identically. The client replays the
-// day that was open when the daemon died.
+// day-scoped state is empty there — DESIGN.md §15) and returns the v2
+// image — a little-endian binary header, session totals, battery and
+// policy image, closed by a CRC32 of every byte before it. A session
+// restored from that image continues bitwise-identically, and saving it
+// again gives the same bytes. restore() checks the length and the CRC
+// before it parses any field, so a damaged, truncated or v1 text file is a
+// DataError. The client replays the day that was open when the daemon
+// died.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "battery/battery.h"
@@ -38,9 +43,11 @@ class HouseholdSession {
   /// checkpoint support (every served policy must be restorable).
   HouseholdSession(std::uint64_t id, const std::string& spec_text);
 
-  /// Rebuilds a session from a checkpoint stream written by save().
-  /// Throws DataError on malformed input.
-  static std::unique_ptr<HouseholdSession> restore(std::istream& in);
+  /// Rebuilds a session from an image written by save(). Checks the
+  /// length and CRC32 first, then every field and count against the
+  /// configuration the stored spec builds. Throws DataError on any image
+  /// that save() could not have written.
+  static std::unique_ptr<HouseholdSession> restore(std::string_view image);
 
   std::uint64_t id() const { return id_; }
 
@@ -103,9 +110,10 @@ class HouseholdSession {
   /// totals).
   void finalize_day_stream();
 
-  /// Writes the full between-days state (spec, counters, cumulative cents,
-  /// battery, policy). Throws ConfigError while a day is open.
-  void save(std::ostream& out) const;
+  /// The v2 checkpoint image of the full between-days state (spec,
+  /// counters, cumulative cents, battery, policy; layout in DESIGN.md §15).
+  /// Throws ConfigError while a day is open.
+  std::string save() const;
 
  private:
   explicit HouseholdSession() = default;

@@ -131,7 +131,7 @@ void Shard::handle(const std::vector<std::uint8_t>& payload,
         return;
       }
       RLBLH_OBS_COUNT("serve.readings", frame.readings.values.size());
-      if (day_done) close_day(*entry);
+      if (day_done && !close_day(*entry, out)) return;
       ReadingsAckMsg ack;
       ack.household_id = id;
       ack.day = static_cast<std::uint32_t>(s.days_completed());
@@ -159,10 +159,7 @@ void Shard::handle(const std::vector<std::uint8_t>& payload,
                            "first)"});
         return;
       }
-      config_.store->save(s);
-      entry->checkpointed_days = s.days_completed();
-      config_.checkpoints->fetch_add(1);
-      RLBLH_OBS_COUNT("serve.checkpoints", 1);
+      if (!checkpoint(*entry, out)) return;
       CheckpointAckMsg ack;
       ack.household_id = id;
       ack.days_completed = static_cast<std::uint32_t>(s.days_completed());
@@ -262,18 +259,31 @@ void Shard::handle_hello(const HelloMsg& hello,
   RLBLH_OBS_COUNT("serve.hellos", 1);
 }
 
-void Shard::close_day(Entry& entry) {
+bool Shard::close_day(Entry& entry, std::vector<std::uint8_t>& out) {
   HouseholdSession& s = *entry.session;
   s.finalize_day_stream();
   config_.days_completed->fetch_add(1);
   RLBLH_OBS_COUNT("serve.days_completed", 1);
-  if (s.days_completed() % config_.checkpoint_period_days == 0) {
-    // Persist before acking: an acked closed day is on disk.
+  // Persist before acking: an acked closed day is on disk.
+  return s.days_completed() % config_.checkpoint_period_days != 0 ||
+         checkpoint(entry, out);
+}
+
+bool Shard::checkpoint(Entry& entry, std::vector<std::uint8_t>& out) {
+  HouseholdSession& s = *entry.session;
+  try {
     config_.store->save(s);
-    entry.checkpointed_days = s.days_completed();
-    config_.checkpoints->fetch_add(1);
-    RLBLH_OBS_COUNT("serve.checkpoints", 1);
+  } catch (const std::exception& e) {
+    config_.checkpoint_failures->fetch_add(1);
+    RLBLH_OBS_COUNT("serve.checkpoint_failures", 1);
+    encode_error(out, {ErrorCode::kInternal,
+                       std::string("checkpoint failed: ") + e.what()});
+    return false;
   }
+  entry.checkpointed_days = s.days_completed();
+  config_.checkpoints->fetch_add(1);
+  RLBLH_OBS_COUNT("serve.checkpoints", 1);
+  return true;
 }
 
 }  // namespace rlblh::serve

@@ -8,9 +8,12 @@
 //
 // Sessions run deferred (serve/session.h): a mid-day Readings frame only
 // validates and buffers, and a day-closing frame is finalized inline —
-// finalize_day_stream(), then the checkpoint, then the ack — before the
-// shard handles its next frame. A shard's replies therefore leave in the
-// order its frames arrived.
+// finalize_day_stream(), then the durable checkpoint, then the ack — before
+// the shard handles its next frame. A shard's replies therefore leave in
+// the order its frames arrived. A checkpoint that cannot be written is
+// answered with Error{kInternal} in place of the ack (an ack would claim
+// the day is on disk); the session stays in memory with its last saved
+// day unchanged, so the next close or the drain retries the save.
 #pragma once
 
 #include <atomic>
@@ -41,6 +44,7 @@ class Shard {
     std::atomic<std::size_t>* malformed = nullptr;
     std::atomic<std::size_t>* days_completed = nullptr;
     std::atomic<std::size_t>* checkpoints = nullptr;
+    std::atomic<std::size_t>* checkpoint_failures = nullptr;
   };
 
   explicit Shard(Config config);
@@ -84,8 +88,12 @@ class Shard {
               std::vector<std::uint8_t>& out);
   void handle_hello(const HelloMsg& hello, std::vector<std::uint8_t>& out);
   /// Closes the session's fully buffered day, checkpoints it when the
-  /// period says so, and counts it.
-  void close_day(Entry& entry);
+  /// period says so, and counts it. Returns false after encoding the Error
+  /// of a failed checkpoint into `out`.
+  bool close_day(Entry& entry, std::vector<std::uint8_t>& out);
+  /// Saves the entry's session and counts it; on failure encodes
+  /// Error{kInternal} into `out`, counts the failure and returns false.
+  bool checkpoint(Entry& entry, std::vector<std::uint8_t>& out);
   /// The entry for `id`, or nullptr after encoding kUnknownHousehold.
   Entry* find(std::uint64_t id, std::vector<std::uint8_t>& out);
 

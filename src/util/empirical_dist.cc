@@ -1,9 +1,11 @@
 #include "util/empirical_dist.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
+#include <cstdint>
 #include <string>
+#include <utility>
+
+#include "util/bytes.h"
 
 namespace rlblh {
 
@@ -59,38 +61,30 @@ double EmpiricalDistribution::sample(Rng& rng) const {
   return left + rng.uniform() * width;
 }
 
-void EmpiricalDistribution::save(std::ostream& out) const {
-  const auto precision = out.precision(17);
-  out << "edist " << count_ << ' ' << sum_ << ' ' << reservoir_fraction_
-      << ' ' << reservoir_.size() << '\n';
-  for (std::size_t i = 0; i < reservoir_.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << reservoir_[i];
-  }
-  if (!reservoir_.empty()) out << '\n';
-  out.precision(precision);
-  hist_.save(out);
+void EmpiricalDistribution::write_state(ByteWriter& out) const {
+  out.u64(count_);
+  out.f64(sum_);
+  out.f64(reservoir_fraction_);
+  out.u64(reservoir_.size());
+  out.f64s(reservoir_);
+  hist_.write_state(out);
 }
 
-void EmpiricalDistribution::load(std::istream& in) {
-  std::string word;
-  std::size_t count = 0, reservoir_size = 0;
-  double sum = 0.0, fraction = 0.0;
-  if (!(in >> word >> count >> sum >> fraction >> reservoir_size) ||
-      word != "edist") {
-    throw DataError("EmpiricalDistribution::load: malformed header");
+void EmpiricalDistribution::read_state(ByteReader& in) {
+  const std::uint64_t count = in.u64();
+  const double sum = in.f64();
+  const double fraction = in.f64();
+  const std::uint64_t reservoir_size = in.u64();
+  if (reservoir_size > reservoir_capacity_ || reservoir_size > count) {
+    in.fail("reservoir of " + std::to_string(reservoir_size) +
+            " values exceeds its capacity or count");
   }
-  if (reservoir_size > reservoir_capacity_ || reservoir_size > count ||
-      fraction < 0.0 || fraction > 1.0) {
-    throw DataError("EmpiricalDistribution::load: inconsistent state");
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    in.fail("reservoir fraction outside [0, 1]");
   }
-  std::vector<double> reservoir(reservoir_size, 0.0);
-  for (std::size_t i = 0; i < reservoir_size; ++i) {
-    if (!(in >> reservoir[i])) {
-      throw DataError("EmpiricalDistribution::load: malformed reservoir");
-    }
-  }
-  hist_.load(in);
+  std::vector<double> reservoir(reservoir_size);
+  in.f64s(reservoir);
+  hist_.read_state(in);  // last fallible step: unchanged when it throws
   reservoir_ = std::move(reservoir);
   reservoir_.reserve(reservoir_capacity_);
   count_ = count;

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "util/histogram.h"
@@ -47,14 +47,22 @@ class EmpiricalDistribution {
   /// Fraction of samples served from the exact-value reservoir; in [0, 1].
   void set_reservoir_fraction(double f);
 
-  /// Writes the full sampling state (histogram mass, reservoir contents,
-  /// count/sum/fraction) at full precision: a load() into a distribution of
-  /// identical geometry reproduces sample() draws bitwise.
-  void save(std::ostream& out) const;
+  /// The fraction set by set_reservoir_fraction() (0.5 by default).
+  double reservoir_fraction() const { return reservoir_fraction_; }
 
-  /// Restores state written by save(). Throws DataError on malformed input
-  /// or geometry mismatch.
-  void load(std::istream& in);
+  /// The retained observations, in reservoir order.
+  std::span<const double> reservoir() const { return reservoir_; }
+
+  /// Appends the full sampling state to a state image: count, sum,
+  /// fraction, the reservoir and the histogram mass. A read_state() into a
+  /// distribution of identical geometry reproduces sample() draws bitwise.
+  void write_state(ByteWriter& out) const;
+
+  /// Restores state written by write_state(). Throws DataError on a short
+  /// image, a geometry mismatch, a reservoir larger than the capacity or
+  /// the count, or a fraction outside [0, 1] (both checked before the
+  /// reservoir is allocated); the distribution is unchanged then.
+  void read_state(ByteReader& in);
 
  private:
   Histogram hist_;

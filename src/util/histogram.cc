@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
+#include <cstdint>
+#include <utility>
+
+#include "util/bytes.h"
 
 namespace rlblh {
 
@@ -60,35 +62,29 @@ void Histogram::reset() {
   total_ = 0.0;
 }
 
-void Histogram::save(std::ostream& out) const {
-  const auto precision = out.precision(17);
-  out << "hist " << counts_.size() << ' ' << lo_ << ' ' << hi_ << ' '
-      << total_ << '\n';
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << counts_[i];
-  }
-  out << '\n';
-  out.precision(precision);
+void Histogram::write_state(ByteWriter& out) const {
+  out.u64(counts_.size());
+  out.f64(lo_);
+  out.f64(hi_);
+  out.f64(total_);
+  out.f64s(counts_);
 }
 
-void Histogram::load(std::istream& in) {
-  std::string word;
-  std::size_t bins = 0;
-  double lo = 0.0, hi = 0.0, total = 0.0;
-  if (!(in >> word >> bins >> lo >> hi >> total) || word != "hist") {
-    throw DataError("Histogram::load: malformed header");
-  }
+void Histogram::read_state(ByteReader& in) {
+  const std::uint64_t bins = in.u64();
+  const double lo = in.f64();
+  const double hi = in.f64();
+  const double total = in.f64();
   if (bins != counts_.size() || lo != lo_ || hi != hi_) {
-    throw DataError("Histogram::load: geometry mismatch");
+    in.fail("histogram geometry mismatch");
   }
-  std::vector<double> counts(bins, 0.0);
-  for (std::size_t i = 0; i < bins; ++i) {
-    if (!(in >> counts[i]) || counts[i] < 0.0) {
-      throw DataError("Histogram::load: malformed count");
-    }
+  // Negated comparisons also reject NaN.
+  if (!(total >= 0.0)) in.fail("negative histogram total");
+  std::vector<double> counts(counts_.size());
+  in.f64s(counts);
+  for (const double c : counts) {
+    if (!(c >= 0.0)) in.fail("negative histogram count");
   }
-  if (total < 0.0) throw DataError("Histogram::load: negative total");
   counts_ = std::move(counts);
   total_ = total;
 }

@@ -5,13 +5,15 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "util/error.h"
 
 namespace rlblh {
+
+class ByteReader;
+class ByteWriter;
 
 /// Histogram with `bins` equal-width cells covering [lo, hi]. Values outside
 /// the range are clamped into the boundary cells, so every added value is
@@ -63,16 +65,17 @@ class Histogram {
   /// Removes all mass.
   void reset();
 
-  /// Writes the accumulated mass (counts and total, full precision) to a
-  /// stream. Geometry (bins, lo, hi) is the constructor's business and is
-  /// echoed only for validation.
-  void save(std::ostream& out) const;
+  /// Appends the accumulated mass (total and counts) to a state image.
+  /// Geometry (bins, lo, hi) is the constructor's business and is echoed
+  /// only for validation.
+  void write_state(ByteWriter& out) const;
 
-  /// Restores mass written by save() into a histogram of identical
+  /// Restores mass written by write_state() into a histogram of identical
   /// geometry. The stored total is adopted verbatim (not recomputed), so a
-  /// save/load round-trip is bitwise exact. Throws DataError on malformed
-  /// input or geometry mismatch.
-  void load(std::istream& in);
+  /// round trip is bitwise exact. Throws DataError on a geometry mismatch,
+  /// a negative count or total, or a short image; the histogram is
+  /// unchanged then.
+  void read_state(ByteReader& in);
 
  private:
   double lo_;

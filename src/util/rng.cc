@@ -1,7 +1,7 @@
 #include "util/rng.h"
 
-#include <istream>
-#include <ostream>
+#include <algorithm>
+#include <string>
 
 namespace rlblh {
 
@@ -43,32 +43,14 @@ void Mt19937_64::refill() {
   pos_ = 0;
 }
 
-std::ostream& operator<<(std::ostream& out, const Mt19937_64& e) {
-  // The flags, fill and separators libstdc++ uses, so the text (and every
-  // checkpoint holding it) is byte-identical to std::mt19937_64's.
-  const auto flags = out.flags();
-  const auto fill = out.fill();
-  out.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
-  out.fill(' ');
-  for (const Mt19937_64::result_type word : e.state_) out << word << ' ';
-  out << e.pos_;
-  out.flags(flags);
-  out.fill(fill);
-  return out;
-}
-
-std::istream& operator>>(std::istream& in, Mt19937_64& e) {
-  const auto flags = in.flags();
-  in.flags(std::ios_base::dec | std::ios_base::skipws);
-  Mt19937_64 parsed = e;
-  for (Mt19937_64::result_type& word : parsed.state_) in >> word;
-  in >> parsed.pos_;
-  if (in && parsed.pos_ > Mt19937_64::state_size) {
-    in.setstate(std::ios_base::failbit);
+void Mt19937_64::set_state(std::span<const result_type, state_size> words,
+                           std::size_t position) {
+  if (position > state_size) {
+    throw DataError("Mt19937_64: position " + std::to_string(position) +
+                    " is past the end of the state");
   }
-  if (in) e = parsed;
-  in.flags(flags);
-  return in;
+  std::copy(words.begin(), words.end(), state_.begin());
+  pos_ = position;
 }
 
 }  // namespace rlblh

@@ -8,7 +8,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <random>
 #include <span>
 
@@ -39,9 +38,9 @@ constexpr std::uint64_t derive_stream_seed(std::uint64_t base,
 
 /// MT19937-64 (Matsumoto & Nishimura), word for word the generator
 /// std::mt19937_64 specifies: the same seeding, the same outputs, and the
-/// same stream text (312 state words then the position, space separated),
-/// so state written by either loads into the other and continues
-/// identically. The refill twist is branchless: the standard library's
+/// same state (the 312 words and the position that std::mt19937_64's
+/// stream text holds), so a state read from either continues identically
+/// in the other. The refill twist is branchless: the standard library's
 /// `(y & 1) ? a : 0` becomes a mask, which removes a branch that
 /// mispredicts on about half of the state words.
 class Mt19937_64 {
@@ -67,13 +66,18 @@ class Mt19937_64 {
 
   friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
 
-  /// Writes the state in std::mt19937_64's stream format.
-  friend std::ostream& operator<<(std::ostream& out, const Mt19937_64& e);
+  /// The 312 state words (checkpoints store them with position()).
+  std::span<const result_type, state_size> state() const { return state_; }
 
-  /// Reads the state in std::mt19937_64's stream format. Sets failbit, and
-  /// leaves the engine unchanged, on malformed text or a position past the
-  /// end of the state.
-  friend std::istream& operator>>(std::istream& in, Mt19937_64& e);
+  /// Words consumed since the last refill; state_size when a refill is due
+  /// (a freshly seeded engine).
+  std::size_t position() const { return pos_; }
+
+  /// Replaces the state with `words` at `position`. Throws DataError, and
+  /// leaves the engine unchanged, when the position is past the end of the
+  /// state.
+  void set_state(std::span<const result_type, state_size> words,
+                 std::size_t position);
 
  private:
   /// Regenerates all 312 state words and rewinds the position.
@@ -155,8 +159,8 @@ class Rng {
   /// Access to the underlying engine for std::distributions not wrapped here.
   Mt19937_64& engine() { return engine_; }
 
-  /// Read access for state serialization (the stream operators round-trip
-  /// the full 312-word state exactly).
+  /// Read access for state serialization (state() and position() hold the
+  /// full engine state).
   const Mt19937_64& engine() const { return engine_; }
 
  private:

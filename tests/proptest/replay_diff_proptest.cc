@@ -9,8 +9,8 @@
 // as test-local oracles. Each case runs real days through a policy with
 // REUSE/SYN on and replays the same days through the oracle, then calls
 // train_virtual_day directly; after every round both weight tables, the
-// RNG stream (save_state text) and every returned mean |Delta Q| must
-// match bit for bit.
+// RNG engine state and every returned mean |Delta Q| must match bit for
+// bit.
 //
 // Labeled `proptest` in CTest; filter with `ctest -LE proptest` to skip, or
 // scale the case count with RLBLH_PROPTEST_ITERS.
@@ -21,14 +21,12 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/features.h"
 #include "core/qfunction.h"
 #include "core/rlblh_policy.h"
-#include "core/serialize.h"
 #include "meter/trace.h"
 #include "pricing/tou.h"
 #include "rl/decay.h"
@@ -46,7 +44,7 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// One interval's sampling state, parsed from UsageStatsTracker::save.
+/// One interval's sampling state, copied from the policy's tracker.
 struct IntervalDist {
   std::vector<double> reservoir;
   double fraction = 0.0;
@@ -77,54 +75,28 @@ struct IntervalDist {
   }
 };
 
-/// A policy checkpoint (save_state) as text: the RNG stream and the usage
-/// statistics are read from it, one serialization per snapshot.
-std::string checkpoint_text(const RlBlhPolicy& policy) {
-  std::ostringstream text;
-  policy.save_state(text);
-  return text.str();
-}
-
-/// The "rng ..." line of a checkpoint.
-std::string rng_line(const std::string& checkpoint) {
-  const std::size_t begin = checkpoint.find("\nrng ");
-  if (begin == std::string::npos) {
-    throw std::runtime_error("policy checkpoint has no rng line");
+/// Every interval's sampling state of `policy`'s usage statistics.
+std::vector<IntervalDist> copy_stats(const RlBlhPolicy& policy) {
+  const UsageStatsTracker& stats = policy.usage_stats();
+  std::vector<IntervalDist> out(stats.intervals());
+  for (std::size_t n = 0; n < out.size(); ++n) {
+    const EmpiricalDistribution& dist = stats.distribution(n);
+    const Histogram& hist = dist.histogram();
+    out[n].reservoir.assign(dist.reservoir().begin(), dist.reservoir().end());
+    out[n].fraction = dist.reservoir_fraction();
+    out[n].lo = hist.lo();
+    out[n].hi = hist.hi();
+    out[n].total = hist.total();
+    out[n].counts.assign(hist.counts().begin(), hist.counts().end());
   }
-  return checkpoint.substr(begin + 1,
-                           checkpoint.find('\n', begin + 1) - begin - 1);
-}
-
-std::string rng_line(const Rng& rng) {
-  std::ostringstream text;
-  save_rng(text, rng);
-  std::string line = text.str();
-  if (!line.empty() && line.back() == '\n') line.pop_back();
-  return line;
-}
-
-/// Every interval's sampling state from the checkpoint's usage-stats part.
-std::vector<IntervalDist> parse_stats(const std::string& checkpoint) {
-  std::istringstream text(checkpoint.substr(checkpoint.find("usage-stats ")));
-  std::string word;
-  std::size_t intervals = 0;
-  std::size_t days = 0;
-  text >> word >> intervals >> days;
-  std::vector<IntervalDist> out(intervals);
-  for (IntervalDist& dist : out) {
-    std::size_t count = 0;
-    std::size_t reservoir_size = 0;
-    std::size_t bins = 0;
-    double sum = 0.0;
-    text >> word >> count >> sum >> dist.fraction >> reservoir_size;
-    dist.reservoir.resize(reservoir_size);
-    for (double& value : dist.reservoir) text >> value;
-    text >> word >> bins >> dist.lo >> dist.hi >> dist.total;
-    dist.counts.resize(bins);
-    for (double& value : dist.counts) text >> value;
-  }
-  if (!text) throw std::runtime_error("usage stats text did not parse");
   return out;
+}
+
+/// A policy's binary state image (save_state).
+std::string state_image(const RlBlhPolicy& policy) {
+  std::ostringstream image;
+  policy.save_state(image);
+  return image.str();
 }
 
 /// The replay half of RlBlhPolicy as it stood before the value-cached
@@ -136,16 +108,12 @@ class ReplayOracle {
   /// REUSE/SYN settings may differ from the policy's own).
   ReplayOracle(const RlBlhConfig& config, const RlBlhPolicy& policy,
                const TouSchedule& prices)
-      : ReplayOracle(config, policy, prices, checkpoint_text(policy)) {}
-
-  ReplayOracle(const RlBlhConfig& config, const RlBlhPolicy& policy,
-               const TouSchedule& prices, const std::string& checkpoint)
       : config_(config),
         basis_(config.decisions_per_day(), config.battery_capacity),
         q_(policy.q()),
         q2_(policy.q2()),
-        rng_(0),
-        dists_(parse_stats(checkpoint)),
+        rng_(policy.rng()),
+        dists_(copy_stats(policy)),
         prices_(prices),
         day_(policy.days_completed()),
         episodes_(policy.episodes_completed()),
@@ -154,8 +122,6 @@ class ReplayOracle {
         actions_all_(config.num_actions),
         actions_zero_only_{0},
         actions_max_only_{config.num_actions - 1} {
-    std::istringstream rng_text(rng_line(checkpoint));
-    rng_ = load_rng(rng_text);
     for (std::size_t a = 0; a < actions_all_.size(); ++a) actions_all_[a] = a;
   }
 
@@ -309,8 +275,7 @@ class ReplayOracle {
 /// Weight tables and episode count bit for bit; with a checkpoint of the
 /// policy, its RNG stream too.
 void check_same_state(const RlBlhPolicy& policy, const ReplayOracle& oracle,
-                      const std::string& where,
-                      const std::string* checkpoint = nullptr) {
+                      const std::string& where) {
   for (int t = 0; t < 2; ++t) {
     const PerActionLinearQ& ours = t == 0 ? policy.q() : policy.q2();
     const PerActionLinearQ& theirs = t == 0 ? oracle.q() : oracle.q2();
@@ -327,10 +292,8 @@ void check_same_state(const RlBlhPolicy& policy, const ReplayOracle& oracle,
   }
   PROPTEST_CHECK(policy.episodes_completed() == oracle.episodes(),
                  where + ": episode count diverged");
-  if (checkpoint != nullptr) {
-    PROPTEST_CHECK(rng_line(*checkpoint) == rng_line(oracle.rng()),
-                   where + ": RNG stream diverged");
-  }
+  PROPTEST_CHECK(policy.rng().engine() == oracle.rng().engine(),
+                 where + ": RNG stream diverged");
 }
 
 /// A day of usage with structure, some of it above x_M: the observe paths
@@ -417,12 +380,10 @@ TEST(ReplayDiffProptest, ReplayMatchesPerDecisionOracleBitwise) {
           run_real_day(twin, prices, usage, start);
           ReplayOracle oracle(config, twin, prices);
           oracle.replay_after_real_day(usage, start);
-          const std::string replayed = checkpoint_text(replaying);
           check_same_state(replaying, oracle,
-                           "after real day " + std::to_string(d + 1),
-                           &replayed);
+                           "after real day " + std::to_string(d + 1));
           // Resync the twin to the replayed state for the next day.
-          std::istringstream checkpoint(replayed);
+          std::istringstream checkpoint(state_image(replaying));
           twin.load_state(checkpoint);
         }
 
@@ -448,7 +409,7 @@ TEST(ReplayDiffProptest, ReplayMatchesPerDecisionOracleBitwise) {
                              "sample_day diverged at interval " +
                                  std::to_string(n));
             }
-            PROPTEST_CHECK(rng_line(draws) == rng_line(oracle_draws),
+            PROPTEST_CHECK(draws.engine() == oracle_draws.engine(),
                            "sample_day consumed a different draw count");
           }
           const double start =
@@ -461,9 +422,7 @@ TEST(ReplayDiffProptest, ReplayMatchesPerDecisionOracleBitwise) {
           check_same_state(twin, oracle,
                            "after virtual day " + std::to_string(v));
         }
-        const std::string final_state = checkpoint_text(twin);
-        check_same_state(twin, oracle, "after the direct replays",
-                         &final_state);
+        check_same_state(twin, oracle, "after the direct replays");
       },
       options);
   ASSERT_TRUE(result.success) << result.message;

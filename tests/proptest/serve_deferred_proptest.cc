@@ -101,12 +101,6 @@ std::string spec_for(const FleetCase& c, std::size_t k) {
   return out.str();
 }
 
-std::string checkpoint_bytes(const HouseholdSession& session) {
-  std::stringstream out;
-  session.save(out);
-  return out.str();
-}
-
 /// Both modes must answer the same cursor and open-day flag.
 void check_same_cursor(const HouseholdSession& eager,
                        const HouseholdSession& deferred, const char* where) {
@@ -149,7 +143,7 @@ TEST(ServeDeferredProptest, DeferredDaysMatchEagerStreamingBitwise) {
               deferred[k]->apply_readings(day, 0, {});
               check_same_cursor(*eager[k], *deferred[k], "at a day boundary");
               PROPTEST_CHECK(
-                  checkpoint_bytes(*deferred[k]) == checkpoint_bytes(*eager[k]),
+                  deferred[k]->save() == eager[k]->save(),
                   "checkpoint after an empty frame diverged");
             }
             bool closed = false;
@@ -179,7 +173,7 @@ TEST(ServeDeferredProptest, DeferredDaysMatchEagerStreamingBitwise) {
             deferred[k]->finalize_day_stream();
             // Every day boundary must agree byte-for-byte — including the
             // cumulative wasted/grid-extra battery totals.
-            if (checkpoint_bytes(*deferred[k]) != checkpoint_bytes(*eager[k])) {
+            if (deferred[k]->save() != eager[k]->save()) {
               throw proptest::PropertyFailure(
                   "household " + std::to_string(k) + " diverged after day " +
                   std::to_string(d));

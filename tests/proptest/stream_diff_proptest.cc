@@ -30,7 +30,6 @@
 
 #include "battery/battery.h"
 #include "core/rlblh_policy.h"
-#include "core/serialize.h"
 #include "meter/trace.h"
 #include "pricing/tou.h"
 #include "sim/engine.h"
@@ -243,13 +242,15 @@ TEST(StreamDiffProptest, CheckpointEveryDayBoundaryMatchesBatchBitwise) {
 
           std::stringstream checkpoint;
           pushed_policy->save_state(checkpoint);
-          save_battery(checkpoint, *pushed_battery);
+          const Battery saved = *pushed_battery;
 
           pushed_policy = std::make_unique<RlBlhPolicy>(config);
           pushed_battery = std::make_unique<Battery>(
               config.battery_capacity, config.battery_capacity);
           pushed_policy->load_state(checkpoint);
-          load_battery(checkpoint, *pushed_battery);
+          pushed_battery->restore(saved.level(), saved.violation_count(),
+                                  saved.total_wasted_charge(),
+                                  saved.total_grid_extra());
           PROPTEST_CHECK(
               same_bits(pulled_battery.level(), pushed_battery->level()),
               "restored battery level diverged on day " + std::to_string(d));

@@ -128,6 +128,100 @@ TEST(ServeServerTest, HelloReadingsStatsByeRoundTrip) {
   daemon.server->stop();
 }
 
+/// Expects `request` to be answered with Error{code}.
+template <typename Request>
+void expect_error(ErrorCode code, Request&& request) {
+  try {
+    request();
+    ADD_FAILURE() << "expected ServeRequestError";
+  } catch (const ServeRequestError& error) {
+    EXPECT_EQ(error.code(), code) << error.what();
+  }
+}
+
+// A checkpoint that cannot be written must not take the daemon down, and
+// must not be acked: the closing frame and a Checkpoint request get
+// Error{kInternal}, the session stays in memory, and every other household
+// keeps being served.
+TEST(ServeServerTest, FailedCheckpointAnswersErrorAndKeepsServing) {
+  TestDaemon daemon("ckpt_fail");
+  ServeClient client(daemon.server->endpoint(), 11);
+  client.connect();
+  client.hello(7, kSpec);
+  std::filesystem::remove_all(daemon.config.checkpoint_dir);
+
+  std::unique_ptr<TraceSource> source =
+      make_scenario_source(ScenarioSpec::parse(kSpec));
+  const std::vector<double> values = source->next_day().values();
+  const std::vector<double> head(values.begin(), values.end() - 480);
+  const std::vector<double> tail(values.end() - 480, values.end());
+  EXPECT_EQ(client.send_readings(7, 0, 0, head).next_interval, head.size());
+  expect_error(ErrorCode::kInternal, [&] {
+    client.send_readings(7, 0, static_cast<std::uint32_t>(head.size()), tail);
+  });
+  EXPECT_EQ(daemon.server->checkpoint_failures(), 1u);
+  EXPECT_EQ(daemon.server->checkpoints_written(), 0u);
+  // The day closed in memory; only its ack was withheld.
+  EXPECT_EQ(client.stats(7).days_completed, 1u);
+  expect_error(ErrorCode::kInternal, [&] { client.checkpoint(7); });
+  EXPECT_EQ(daemon.server->checkpoint_failures(), 2u);
+
+  // A second household on the same connection is served normally.
+  const HelloAckMsg hello = client.hello(8, kSpec);
+  EXPECT_EQ(hello.resumed, 0);
+  EXPECT_EQ(client.send_readings(8, 0, 0, head).next_interval, head.size());
+  EXPECT_EQ(client.stats(8).days_completed, 0u);
+
+  // The drain retries household 7 (its day is unsaved), counts the
+  // failure, and stops cleanly; the destructor throws nothing either.
+  daemon.server->stop();
+  EXPECT_EQ(daemon.server->checkpoint_failures(), 3u);
+  EXPECT_EQ(daemon.server->days_completed(), 1u);
+}
+
+// A damaged checkpoint answers its Hello with Error{kInternal}, is moved to
+// h<id>.ckpt.corrupt and counted, and the next Hello starts afresh.
+TEST(ServeServerTest, CorruptCheckpointAnswersHelloWithErrorThenStartsFresh) {
+  HouseholdSession direct(50, kSpec);
+  std::unique_ptr<TraceSource> source =
+      make_scenario_source(ScenarioSpec::parse(kSpec));
+  direct.apply_readings(0, 0, source->next_day().values());
+  const std::string image = direct.save();
+  std::string flipped = image;
+  flipped[image.size() / 3] = static_cast<char>(flipped[image.size() / 3] ^ 4);
+  std::string version = image;
+  version[8] = 3;
+  const std::vector<std::string> damaged = {
+      "rlblh-serve-household v1\nid 50\nspec policy=rlblh;seed=21\n",
+      image.substr(0, image.size() / 2),
+      image.substr(0, image.size() - 1),
+      flipped,
+      version,
+  };
+
+  TestDaemon daemon("corrupt_hello");
+  const CheckpointStore store(daemon.config.checkpoint_dir);
+  ServeClient client(daemon.server->endpoint(), 12);
+  client.connect();
+  for (std::size_t k = 0; k < damaged.size(); ++k) {
+    SCOPED_TRACE("case " + std::to_string(k));
+    const std::uint64_t id = 50 + k;
+    {
+      std::ofstream out(store.path_for(id), std::ios::binary);
+      out << damaged[k];
+    }
+    expect_error(ErrorCode::kInternal, [&] { client.hello(id, kSpec); });
+    EXPECT_FALSE(store.exists(id));
+    EXPECT_TRUE(read_file(store.path_for(id) + ".corrupt") == damaged[k]);
+    EXPECT_EQ(daemon.server->checkpoints_corrupt(), k + 1);
+    const HelloAckMsg fresh = client.hello(id, kSpec);
+    EXPECT_EQ(fresh.resumed, 0);
+    EXPECT_EQ(fresh.days_completed, 0u);
+  }
+  daemon.server->stop();
+  EXPECT_EQ(daemon.server->checkpoint_failures(), 0u);
+}
+
 TEST(ServeServerTest, RejectsBadSpecAndUnknownHousehold) {
   TestDaemon daemon("rejects");
   ServeClient client(daemon.server->endpoint(), 2);
@@ -357,13 +451,6 @@ TEST(ServeServerTest, LoadGenDrivesFleetEndToEnd) {
   }
 }
 
-/// The checkpoint bytes a session writes right now.
-std::string checkpoint_bytes(const HouseholdSession& session) {
-  std::stringstream out;
-  session.save(out);
-  return out.str();
-}
-
 /// The payload of one encoded frame (what FrameReader::take hands back):
 /// the frame minus its 4-byte length prefix.
 std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& frame) {
@@ -394,7 +481,7 @@ TEST(ServeServerTest, LoadGenCheckpointsMatchDirectSessionsByteForByte) {
     for (std::uint32_t d = 0; d < load.days; ++d) {
       direct.apply_readings(d, 0, source->next_day().values());
     }
-    EXPECT_EQ(read_file(store.path_for(id)), checkpoint_bytes(direct))
+    EXPECT_TRUE(read_file(store.path_for(id)) == direct.save())
         << "household " << id;
   }
 }
@@ -518,7 +605,7 @@ TEST(ServeServerTest, PipelinedFleetMatchesDirectSessionsByteForByte) {
   }
   const CheckpointStore store(daemon.config.checkpoint_dir);
   for (const auto& s : direct) {
-    EXPECT_EQ(read_file(store.path_for(s->id())), checkpoint_bytes(*s))
+    EXPECT_TRUE(read_file(store.path_for(s->id())) == s->save())
         << "household " << s->id();
   }
 }
@@ -576,8 +663,7 @@ TEST(ServeServerTest, CrashMidDayRestartMatchesUninterruptedByteForByte) {
           std::span<const double>(values.data() + n0, width));
     }
   }
-  std::stringstream expected;
-  reference.save(expected);
+  const std::string expected = reference.save();
 
   // Interrupted run: day 0 acked, day 1 half-sent, then the daemon dies
   // without any drain checkpoint.
@@ -608,7 +694,7 @@ TEST(ServeServerTest, CrashMidDayRestartMatchesUninterruptedByteForByte) {
   daemon.server->stop();
 
   const CheckpointStore store(daemon.config.checkpoint_dir);
-  EXPECT_EQ(read_file(store.path_for(21)), expected.str());
+  EXPECT_TRUE(read_file(store.path_for(21)) == expected);
 }
 
 // Same crash/restart story driven entirely through run_load, comparing the
