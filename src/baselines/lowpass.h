@@ -70,7 +70,8 @@ class PassthroughPolicy final : public BlhPolicy {
                     double /*battery_level*/) override {
     return 0.0;  // ignored: the simulator substitutes x_n for passthrough
   }
-  void observe_block(std::size_t /*n0*/, ConstTraceLane /*usage*/) override {}
+  void observe_block(std::size_t /*n0*/,
+                     std::span<const double> /*usage*/) override {}
 };
 
 }  // namespace rlblh

@@ -220,7 +220,8 @@ void MdpBlhPolicy::observe_usage(std::size_t n, double usage) {
   if (n + 1 == config_.intervals_per_day) day_open_ = false;
 }
 
-void MdpBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
+void MdpBlhPolicy::observe_block(std::size_t n0,
+                                 std::span<const double> usage) {
   RLBLH_REQUIRE(day_open_, "MdpBlhPolicy: observe before begin_day()");
   RLBLH_REQUIRE(n0 + usage.size() <= config_.intervals_per_day,
                 "MdpBlhPolicy: block out of range");

@@ -81,7 +81,7 @@ class MdpBlhPolicy final : public BlhPolicy {
   }
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override;
-  void observe_block(std::size_t n0, ConstTraceLane usage) override;
+  void observe_block(std::size_t n0, std::span<const double> usage) override;
 
   /// Configuration in effect.
   const MdpConfig& config() const { return config_; }

@@ -70,7 +70,8 @@ void RandomPulsePolicy::observe_usage(std::size_t n, double usage) {
                 "RandomPulsePolicy: bad observation");
 }
 
-void RandomPulsePolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
+void RandomPulsePolicy::observe_block(std::size_t n0,
+                                      std::span<const double> usage) {
   RLBLH_REQUIRE(n0 + usage.size() <= config_.intervals_per_day,
                 "RandomPulsePolicy: block out of range");
   for (std::size_t i = 0; i < usage.size(); ++i) {

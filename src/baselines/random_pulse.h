@@ -38,7 +38,7 @@ class RandomPulsePolicy final : public BlhPolicy {
   }
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override;
-  void observe_block(std::size_t n0, ConstTraceLane usage) override;
+  void observe_block(std::size_t n0, std::span<const double> usage) override;
 
   /// Same feasibility rule as RL-BLH (Section III-B).
   std::vector<std::size_t> allowed_actions(double battery_level) const;

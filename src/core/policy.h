@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -79,13 +80,13 @@ class BlhPolicy {
   }
 
   /// Reports the realized usage of the whole block [n0, n0 + usage.size())
-  /// after it completed. The engine passes a contiguous (stride-1) view of
-  /// its usage buffer. The default forwards to observe_usage() per
-  /// interval; overrides must be observably identical to that loop.
-  /// (Defined out of line on purpose: with the body visible, the scalar
-  /// engine's per-block call gets speculatively devirtualized against the
-  /// default, which pessimizes every policy that overrides it.)
-  virtual void observe_block(std::size_t n0, ConstTraceLane usage);
+  /// after it completed; `usage` views the engine's usage buffer. The
+  /// default forwards to observe_usage() per interval; overrides must be
+  /// observably identical to that loop. (Defined out of line on purpose:
+  /// with the body visible, the engine's per-block call gets speculatively
+  /// devirtualized against the default, which pessimizes every policy that
+  /// overrides it.)
+  virtual void observe_block(std::size_t n0, std::span<const double> usage);
 
   /// Short stable identifier, e.g. "rl-blh" or "low-pass".
   virtual std::string_view name() const = 0;

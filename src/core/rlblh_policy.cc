@@ -25,7 +25,7 @@ RlBlhConfig validated(RlBlhConfig config) {
 
 /// A weight table in a policy image: its dimensions, then every action's
 /// weights in order.
-void write_table(ByteWriter& out, const PerActionLinearQ& q) {
+void write_table(ByteWriter<std::string>& out, const PerActionLinearQ& q) {
   out.u64(q.num_actions());
   out.u64(q.dimension());
   for (std::size_t a = 0; a < q.num_actions(); ++a) {
@@ -284,7 +284,7 @@ void RlBlhPolicy::observe_usage(std::size_t n, double usage) {
   next_observe_n_ = n + 1;
 }
 
-void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
+void RlBlhPolicy::observe_block(std::size_t n0, std::span<const double> usage) {
   RLBLH_REQUIRE(day_open_, "RlBlhPolicy: observe_block() before begin_day()");
   RLBLH_REQUIRE(n0 == next_observe_n_ &&
                     n0 + usage.size() == next_reading_n_,
@@ -296,11 +296,9 @@ void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   // sequence, so the accumulated sum is bitwise equal).
   const double magnitude = magnitudes_[pending_action_];
   const double* const rates = prices_->rates().data();
-  const double* const values = usage.data();
-  const std::size_t stride = usage.stride();
   double pending = pending_savings_;
   for (std::size_t i = 0; i < usage.size(); ++i) {
-    const double x = values[i * stride];
+    const double x = usage[i];
     RLBLH_REQUIRE(x >= 0.0, "RlBlhPolicy: usage must be >= 0");
     today_usage_.push_back(x);
     pending += rates[n0 + i] * (x - magnitude);
@@ -348,9 +346,7 @@ void RlBlhPolicy::end_day() {
   // Per-interval statistics feed the SYN heuristic. The buffer was already
   // validated interval by interval as it was observed, so a view suffices —
   // no day-sized copy per day.
-  stats_.observe_day(ConstTraceLane(today_usage_.data(), 1,
-                                    today_usage_.size()),
-                     rng_);
+  stats_.observe_day(today_usage_, rng_);
 
   ++day_;
   if (learning_) ++episodes_;

@@ -55,7 +55,7 @@ class RlBlhPolicy final : public BlhPolicy {
   }
   double fill_block(std::size_t n0, std::size_t width,
                     double battery_level) override;
-  void observe_block(std::size_t n0, ConstTraceLane usage) override;
+  void observe_block(std::size_t n0, std::span<const double> usage) override;
 
   // Checkpoint/restore (DESIGN.md §15). The state image is little-endian
   // binary: the day and episode counters, the learning and exploration

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,9 +75,10 @@ class Appliance {
   const std::string& name() const { return name_; }
 
   /// Adds this appliance's consumption for one day into `trace` (a DayTrace
-  /// converts implicitly), clamping each interval at `cap` (kWh). When
-  /// `events` is non-null, appends one record per contiguous activation.
-  virtual void generate(const Occupancy& occ, Rng& rng, TraceLane trace,
+  /// converts implicitly), clamping each interval at `cap` (kWh). Values
+  /// written stay finite and >= 0, as DayTrace requires. When `events` is
+  /// non-null, appends one record per contiguous activation.
+  virtual void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
                         double cap,
                         std::vector<ApplianceEvent>* events) const = 0;
 
@@ -84,7 +86,7 @@ class Appliance {
   /// Helper: writes a constant-power run of `duration` intervals starting at
   /// `start` (truncated at end of day), records it as an event.
   void emit_run(std::size_t start, std::size_t duration, double power,
-                TraceLane trace, double cap,
+                std::span<double> trace, double cap,
                 std::vector<ApplianceEvent>* events) const;
 
  private:
@@ -98,8 +100,8 @@ class Refrigerator final : public Appliance {
   /// power: kWh per interval while the compressor runs; on/off: nominal
   /// phase lengths in intervals (jittered ±25% per cycle).
   Refrigerator(double power = 0.0025, std::size_t on = 22, std::size_t off = 34);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -116,8 +118,8 @@ class Hvac final : public Appliance {
   /// multiplier while nobody is home.
   Hvac(double power = 0.028, double base_duty = 0.10, double peak_duty = 0.32,
        double setback_factor = 0.45);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -134,8 +136,8 @@ class Hvac final : public Appliance {
 class WaterHeater final : public Appliance {
  public:
   explicit WaterHeater(double power = 0.05);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -146,8 +148,8 @@ class Lighting final : public Appliance {
  public:
   /// dawn/dusk: intervals before/after which lighting is needed.
   Lighting(double power = 0.0035, std::size_t dawn = 420, std::size_t dusk = 1080);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -161,8 +163,8 @@ class Lighting final : public Appliance {
 class Cooking final : public Appliance {
  public:
   explicit Cooking(double power = 0.024);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -172,8 +174,8 @@ class Cooking final : public Appliance {
 class Dishwasher final : public Appliance {
  public:
   Dishwasher(double power = 0.018, double daily_probability = 0.6);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -186,8 +188,8 @@ class Laundry final : public Appliance {
  public:
   Laundry(double washer_power = 0.008, double dryer_power = 0.05,
           double daily_probability = 0.35);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double washer_power_;
@@ -201,8 +203,8 @@ class Laundry final : public Appliance {
 class EvCharger final : public Appliance {
  public:
   EvCharger(double power = 0.030, double daily_probability = 0.9);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double power_;
@@ -213,8 +215,8 @@ class EvCharger final : public Appliance {
 class Electronics final : public Appliance {
  public:
   Electronics(double standby_power = 0.0009, double active_power = 0.0030);
-  void generate(const Occupancy& occ, Rng& rng, TraceLane trace, double cap,
-                std::vector<ApplianceEvent>* events) const override;
+  void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                double cap, std::vector<ApplianceEvent>* events) const override;
 
  private:
   double standby_power_;

@@ -94,9 +94,8 @@ void HouseholdModel::generate_day_into(DayTrace& out,
   // stream.
   const Occupancy occ = sample_occupancy();
   if (occupancy != nullptr) *occupancy = occ;
-  const TraceLane lane(out);
   for (const auto& appliance : appliances_) {
-    appliance->generate(occ, rng_, lane, config_.usage_cap, events);
+    appliance->generate(occ, rng_, out, config_.usage_cap, events);
   }
 }
 

@@ -23,110 +23,11 @@ inline constexpr std::size_t kIntervalsPerDay = 1440;
 /// The paper's per-interval usage bound x_M in kWh.
 inline constexpr double kDefaultUsageCap = 0.08;
 
-class DayTrace;
-
-/// A strided, non-owning view of one day's series inside a larger buffer:
-/// interval n lives at data[n * stride]. Generators (appliance processes,
-/// trace sources) write through it without knowing the layout; a DayTrace
-/// converts implicitly to a stride-1 lane over its own buffer.
-///
-/// Writers take over DayTrace's invariant: every value written must be
-/// finite and >= 0.
-class TraceLane {
- public:
-  /// Views `intervals` slots at data[0], data[stride], ... Requires a
-  /// non-null base, stride >= 1 and intervals >= 1. Defined inline: the
-  /// scalar engine builds one view per decision block, so the validation
-  /// must fold into the caller rather than cost a call per block.
-  TraceLane(double* data, std::size_t stride, std::size_t intervals)
-      : data_(data), stride_(stride), intervals_(intervals) {
-    RLBLH_REQUIRE(data != nullptr, "TraceLane: base pointer must be non-null");
-    RLBLH_REQUIRE(stride >= 1, "TraceLane: stride must be >= 1");
-    RLBLH_REQUIRE(intervals >= 1, "TraceLane: need at least one interval");
-  }
-
-  /// Stride-1 view over a whole DayTrace (implicit: lets existing DayTrace
-  /// call sites reach the lane-based generator APIs unchanged).
-  TraceLane(DayTrace& trace);  // NOLINT(google-explicit-constructor)
-
-  /// Number of measurement intervals viewed.
-  std::size_t intervals() const { return intervals_; }
-
-  /// Distance in doubles between consecutive intervals.
-  std::size_t stride() const { return stride_; }
-
-  /// Base pointer (interval n is data()[n * stride()]).
-  double* data() const { return data_; }
-
-  /// Value slot for interval n. Requires n < intervals().
-  double& operator[](std::size_t n) const { return data_[n * stride_]; }
-
-  /// Zeroes every viewed slot.
-  void fill_zero() const;
-
-  /// Adds a constant `value` (>= 0) to every interval of [start, end),
-  /// clamping each sum at `cap` when cap > 0. Bitwise the same per-interval
-  /// arithmetic as DayTrace::add_clamped_run (which forwards here).
-  /// Requires start <= end <= intervals().
-  void add_clamped_run(std::size_t start, std::size_t end, double value,
-                       double cap) const;
-
- private:
-  double* data_;
-  std::size_t stride_;
-  std::size_t intervals_;
-};
-
-/// Read-only counterpart of TraceLane: a strided const view of one day's
-/// series inside a larger buffer (interval n lives at data[n * stride]).
-/// Consumers — observe_block, the usage statistics, the privacy metrics —
-/// read through it. A DayTrace, a TraceLane or a contiguous span converts
-/// implicitly to a stride-1 view.
-class ConstTraceLane {
- public:
-  /// Views `intervals` slots at data[0], data[stride], ... Requires a
-  /// non-null base, stride >= 1 and intervals >= 1. Inline for the same
-  /// reason as TraceLane: one view is built per observe block on the
-  /// scalar hot path.
-  ConstTraceLane(const double* data, std::size_t stride,
-                 std::size_t intervals)
-      : data_(data), stride_(stride), intervals_(intervals) {}
-
-  /// Stride-1 view over a whole DayTrace.
-  ConstTraceLane(const DayTrace& trace);  // NOLINT(google-explicit-constructor)
-
-  /// Stride-1 view over a contiguous span (nonempty).
-  ConstTraceLane(std::span<const double> values)  // NOLINT
-      : data_(values.data()), stride_(1), intervals_(values.size()) {
-    RLBLH_REQUIRE(!values.empty(),
-                  "ConstTraceLane: need at least one interval");
-  }
-
-  /// Read view of a mutable lane.
-  ConstTraceLane(TraceLane lane)  // NOLINT(google-explicit-constructor)
-      : data_(lane.data()), stride_(lane.stride()),
-        intervals_(lane.intervals()) {}
-
-  /// Number of measurement intervals viewed.
-  std::size_t intervals() const { return intervals_; }
-
-  /// Alias for intervals(); keeps span-shaped call sites readable.
-  std::size_t size() const { return intervals_; }
-
-  /// Distance in doubles between consecutive intervals.
-  std::size_t stride() const { return stride_; }
-
-  /// Base pointer (interval n is data()[n * stride()]).
-  const double* data() const { return data_; }
-
-  /// Value at interval n. Requires n < intervals().
-  double operator[](std::size_t n) const { return data_[n * stride_]; }
-
- private:
-  const double* data_;
-  std::size_t stride_;
-  std::size_t intervals_;
-};
+/// Names kept for perfbench/fleet.cc, whose TimedSource and TimedPolicy
+/// overrides spell them; nothing else uses them. Day series pass as
+/// std::span<double> (writers) and std::span<const double> (readers).
+using TraceLane = std::span<double>;
+using ConstTraceLane = std::span<const double>;
 
 /// One day of per-interval energy values (usage or meter readings), in kWh.
 class DayTrace {
@@ -149,13 +50,6 @@ class DayTrace {
   /// Adds `value` (>= 0) to interval n, clamping the sum at `cap` when
   /// cap > 0. Used by appliance composition under the x_M bound.
   void add_clamped(std::size_t n, double value, double cap);
-
-  /// Adds a constant `value` (>= 0) to every interval of [start, end),
-  /// clamping each sum at `cap` when cap > 0. Identical per-interval math
-  /// to add_clamped, validated once for the whole run. Requires
-  /// start <= end <= intervals().
-  void add_clamped_run(std::size_t start, std::size_t end, double value,
-                       double cap);
 
   /// Resizes to `intervals` slots (>= 1) and zeroes every value, reusing
   /// the existing buffer when the length already matches. The in-place
@@ -180,6 +74,15 @@ class DayTrace {
   /// enforces the same contract one interval at a time.
   double* mutable_data() { return values_.data(); }
 
+  /// The series as a writable view, so a DayTrace passes wherever a day is
+  /// written (appliance generators). Writers take over the class invariant,
+  /// as with mutable_data().
+  operator std::span<double>() { return values_; }  // NOLINT
+
+  /// The series as a read-only view, so a DayTrace passes wherever a day
+  /// is read (observe hooks, usage statistics, privacy metrics).
+  operator std::span<const double>() const { return values_; }  // NOLINT
+
  private:
   std::vector<double> values_;
 };
@@ -198,10 +101,11 @@ class TraceSource {
   /// override this.
   virtual void next_day_into(DayTrace& out) { out = next_day(); }
 
-  /// Produces the next day's profile into a strided lane of a caller-owned
-  /// buffer. `out.intervals()` must equal intervals(). Draws and values are
-  /// identical to next_day(); only the destination layout differs.
-  virtual void next_day_into_lane(TraceLane out);
+  /// Produces the next day's profile into a caller-owned buffer of
+  /// intervals() values, with the same draws and values as next_day().
+  /// Nothing in the library calls it; perfbench/fleet.cc's TimedSource
+  /// overrides it, so it stays until the benchmark changes.
+  virtual void next_day_into_lane(std::span<double> out);
 
   /// Number of intervals per produced day.
   virtual std::size_t intervals() const = 0;

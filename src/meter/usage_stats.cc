@@ -19,8 +19,8 @@ UsageStatsTracker::UsageStatsTracker(std::size_t intervals, double usage_cap,
   }
 }
 
-void UsageStatsTracker::observe_day(ConstTraceLane day, Rng& rng) {
-  RLBLH_REQUIRE(day.intervals() == dists_.size(),
+void UsageStatsTracker::observe_day(std::span<const double> day, Rng& rng) {
+  RLBLH_REQUIRE(day.size() == dists_.size(),
                 "UsageStatsTracker: day length mismatch");
   for (std::size_t n = 0; n < dists_.size(); ++n) {
     dists_[n].add(day[n], rng);
@@ -50,7 +50,7 @@ double UsageStatsTracker::mean_at(std::size_t n) const {
   return dists_[n].mean();
 }
 
-void UsageStatsTracker::write_state(ByteWriter& out) const {
+void UsageStatsTracker::write_state(ByteWriter<std::string>& out) const {
   out.u64(dists_.size());
   out.u64(days_);
   for (const EmpiricalDistribution& dist : dists_) dist.write_state(out);

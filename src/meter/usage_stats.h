@@ -26,10 +26,10 @@ class UsageStatsTracker {
   UsageStatsTracker(std::size_t intervals, double usage_cap,
                     std::size_t bins = 24, std::size_t reservoir = 48);
 
-  /// Folds one observed day into the per-interval distributions. Accepts
-  /// any read-only lane view (a DayTrace converts implicitly), so the RL
-  /// observe path can feed its day buffer without a validating copy.
-  void observe_day(ConstTraceLane day, Rng& rng);
+  /// Folds one observed day into the per-interval distributions. Takes a
+  /// view (a DayTrace converts implicitly), so the RL observe path can feed
+  /// its day buffer without a validating copy.
+  void observe_day(std::span<const double> day, Rng& rng);
 
   /// Number of days observed so far.
   std::size_t days_observed() const { return days_; }
@@ -58,7 +58,7 @@ class UsageStatsTracker {
   /// Appends every interval's distribution state to a state image: the
   /// interval count, the days observed, then each distribution (the SYN
   /// heuristic's sampling state must survive a daemon restart bitwise).
-  void write_state(ByteWriter& out) const;
+  void write_state(ByteWriter<std::string>& out) const;
 
   /// Restores state written by write_state() into a tracker of identical
   /// geometry. Throws DataError on a short or inconsistent image or a

@@ -6,8 +6,9 @@
 
 namespace rlblh {
 
-double pearson_correlation(ConstTraceLane x, ConstTraceLane y) {
-  RLBLH_REQUIRE(x.size() == y.size(),
+double pearson_correlation(std::span<const double> x,
+                           std::span<const double> y) {
+  RLBLH_REQUIRE(x.size() == y.size() && !x.empty(),
                 "pearson_correlation: series must be nonempty and equal length");
   const auto n = static_cast<double>(x.size());
   double sx = 0.0, sy = 0.0;
@@ -29,16 +30,8 @@ double pearson_correlation(ConstTraceLane x, ConstTraceLane y) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-double pearson_correlation(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  RLBLH_REQUIRE(x.size() == y.size() && !x.empty(),
-                "pearson_correlation: series must be nonempty and equal length");
-  return pearson_correlation(ConstTraceLane(x.data(), 1, x.size()),
-                             ConstTraceLane(y.data(), 1, y.size()));
-}
-
-void CorrelationAccumulator::observe_day(ConstTraceLane usage,
-                                         ConstTraceLane readings) {
+void CorrelationAccumulator::observe_day(std::span<const double> usage,
+                                         std::span<const double> readings) {
   stats_.add(pearson_correlation(usage, readings));
 }
 

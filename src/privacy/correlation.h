@@ -8,29 +8,27 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "meter/trace.h"
 #include "util/running_stats.h"
 
 namespace rlblh {
 
-/// Pearson correlation coefficient of two equal-length series (read-only
-/// lane views; a DayTrace converts implicitly). Returns 0 when either series
-/// is constant (zero variance), matching the convention that a flat series
-/// carries no linear relationship.
-double pearson_correlation(ConstTraceLane x, ConstTraceLane y);
-
-/// Convenience overload on plain vectors (throws on empty input).
-double pearson_correlation(const std::vector<double>& x,
-                           const std::vector<double>& y);
+/// Pearson correlation coefficient of two nonempty equal-length series (a
+/// DayTrace or a vector converts implicitly; throws otherwise). Returns 0
+/// when either series is constant (zero variance), matching the convention
+/// that a flat series carries no linear relationship.
+double pearson_correlation(std::span<const double> x,
+                           std::span<const double> y);
 
 /// Accumulates the per-day CC over an evaluation run and reports its mean,
 /// the statistic plotted in the paper's Figures 5a, 8b and 9b.
 class CorrelationAccumulator {
  public:
   /// Folds in one evaluation day.
-  void observe_day(ConstTraceLane usage, ConstTraceLane readings);
+  void observe_day(std::span<const double> usage,
+                   std::span<const double> readings);
 
   /// Mean per-day CC; 0 when no days observed.
   double mean_cc() const;

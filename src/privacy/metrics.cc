@@ -4,43 +4,46 @@
 
 namespace rlblh {
 
-double daily_savings_cents(ConstTraceLane usage, ConstTraceLane readings,
+double daily_savings_cents(std::span<const double> usage,
+                           std::span<const double> readings,
                            const TouSchedule& prices) {
-  RLBLH_REQUIRE(usage.intervals() == readings.intervals() &&
-                    usage.intervals() == prices.intervals(),
+  RLBLH_REQUIRE(usage.size() == readings.size() &&
+                    usage.size() == prices.intervals(),
                 "daily_savings_cents: series lengths must match");
   double s = 0.0;
-  for (std::size_t n = 0; n < usage.intervals(); ++n) {
+  for (std::size_t n = 0; n < usage.size(); ++n) {
     s += prices.rate(n) * (usage[n] - readings[n]);
   }
   return s;
 }
 
-double daily_bill_cents(ConstTraceLane readings, const TouSchedule& prices) {
-  // Same in-order rate * value accumulation as TouSchedule::cost, expressed
-  // over a (possibly strided) view — term-for-term the same sum.
-  RLBLH_REQUIRE(readings.intervals() == prices.intervals(),
+double daily_bill_cents(std::span<const double> readings,
+                        const TouSchedule& prices) {
+  // Same in-order rate * value accumulation as TouSchedule::cost, so the
+  // sum is term-for-term the same.
+  RLBLH_REQUIRE(readings.size() == prices.intervals(),
                 "daily_bill_cents: series length must match the schedule");
   double total = 0.0;
-  for (std::size_t n = 0; n < readings.intervals(); ++n) {
+  for (std::size_t n = 0; n < readings.size(); ++n) {
     total += prices.rate(n) * readings[n];
   }
   return total;
 }
 
-double daily_usage_cost_cents(ConstTraceLane usage, const TouSchedule& prices) {
-  RLBLH_REQUIRE(usage.intervals() == prices.intervals(),
+double daily_usage_cost_cents(std::span<const double> usage,
+                              const TouSchedule& prices) {
+  RLBLH_REQUIRE(usage.size() == prices.intervals(),
                 "daily_usage_cost_cents: series length must match the "
                 "schedule");
   double total = 0.0;
-  for (std::size_t n = 0; n < usage.intervals(); ++n) {
+  for (std::size_t n = 0; n < usage.size(); ++n) {
     total += prices.rate(n) * usage[n];
   }
   return total;
 }
 
-void SavingRatioAccumulator::observe_day(ConstTraceLane usage,
-                                         ConstTraceLane readings,
+void SavingRatioAccumulator::observe_day(std::span<const double> usage,
+                                         std::span<const double> readings,
                                          const TouSchedule& prices) {
   const double cost = daily_usage_cost_cents(usage, prices);
   if (cost <= 0.0) return;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "meter/trace.h"
 #include "pricing/tou.h"
@@ -9,19 +10,20 @@
 
 namespace rlblh {
 
-// All series parameters are read-only lane views: a DayTrace converts
-// implicitly. The loops run interval-ascending regardless of stride, so the
-// accumulated sums are bitwise independent of the layout.
+// Series parameters are read-only views; a DayTrace converts implicitly.
 
 /// Daily cost savings S = sum_n r_n (x_n - y_n) in cents (paper Eq. 3).
-double daily_savings_cents(ConstTraceLane usage, ConstTraceLane readings,
+double daily_savings_cents(std::span<const double> usage,
+                           std::span<const double> readings,
                            const TouSchedule& prices);
 
 /// Daily bill sum_n r_n y_n in cents.
-double daily_bill_cents(ConstTraceLane readings, const TouSchedule& prices);
+double daily_bill_cents(std::span<const double> readings,
+                        const TouSchedule& prices);
 
 /// Daily cost of actual consumption sum_n r_n x_n in cents.
-double daily_usage_cost_cents(ConstTraceLane usage, const TouSchedule& prices);
+double daily_usage_cost_cents(std::span<const double> usage,
+                              const TouSchedule& prices);
 
 /// Accumulates the saving ratio SR = E[ S / (sum_n r_n x_n) ] over days
 /// (paper Eq. 22, the statistic of Figures 5c, 7c, 8a and 9a).
@@ -29,8 +31,8 @@ class SavingRatioAccumulator {
  public:
   /// Folds in one evaluation day. Days with zero usage cost are skipped
   /// (the ratio is undefined for them).
-  void observe_day(ConstTraceLane usage, ConstTraceLane readings,
-                   const TouSchedule& prices);
+  void observe_day(std::span<const double> usage,
+                   std::span<const double> readings, const TouSchedule& prices);
 
   /// Mean per-day saving ratio (dimensionless; multiply by 100 for %).
   double saving_ratio() const;

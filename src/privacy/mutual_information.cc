@@ -68,15 +68,17 @@ PairwiseMiEstimator::PairwiseMiEstimator(std::size_t intervals,
       qy_(levels, 0.0, y_cap) {
   RLBLH_REQUIRE(intervals >= 2, "PairwiseMiEstimator: need >= 2 intervals");
   RLBLH_REQUIRE(levels >= 2, "PairwiseMiEstimator: need >= 2 levels");
+  // Joint cell ids are uint32 over levels^4 cells; past 256 levels they
+  // (and, at 2^32, the size_t table sizes) wrap.
+  RLBLH_REQUIRE(levels <= 256, "PairwiseMiEstimator: need <= 256 levels");
   x_counts_.assign((intervals - 1) * pair_cells_, 0);
   joint_counts_.assign((intervals - 1) * joint_cells_, 0);
   joint_touched_.resize(intervals - 1);
 }
 
-void PairwiseMiEstimator::observe_day(ConstTraceLane usage,
-                                      ConstTraceLane readings) {
-  RLBLH_REQUIRE(usage.intervals() == intervals_ &&
-                    readings.intervals() == intervals_,
+void PairwiseMiEstimator::observe_day(std::span<const double> usage,
+                                      std::span<const double> readings) {
+  RLBLH_REQUIRE(usage.size() == intervals_ && readings.size() == intervals_,
                 "PairwiseMiEstimator: day length mismatch");
   for (std::size_t n = 0; n + 1 < intervals_; ++n) {
     const std::size_t xi = pair_index(qx_.index(usage[n]),

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "meter/trace.h"
@@ -38,14 +39,16 @@ namespace rlblh {
 /// quantized pairs; normalized_mi() then evaluates Eq. 20.
 class PairwiseMiEstimator {
  public:
-  /// `intervals` slots per day (>= 2); `levels` quantization levels (>= 2)
-  /// applied to both streams; values live in [0, x_cap] / [0, y_cap].
+  /// `intervals` slots per day (>= 2); `levels` quantization levels
+  /// (2..256) applied to both streams; values live in [0, x_cap] /
+  /// [0, y_cap].
   PairwiseMiEstimator(std::size_t intervals, std::size_t levels, double x_cap,
                       double y_cap);
 
-  /// Folds in one evaluation day of usage x and meter readings y (read-only
-  /// lane views; a DayTrace converts implicitly).
-  void observe_day(ConstTraceLane usage, ConstTraceLane readings);
+  /// Folds in one evaluation day of usage x and meter readings y (a
+  /// DayTrace converts implicitly).
+  void observe_day(std::span<const double> usage,
+                   std::span<const double> readings);
 
   /// Number of days observed.
   std::size_t days() const { return days_; }

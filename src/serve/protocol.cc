@@ -2,331 +2,239 @@
 
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
+#include "util/bytes.h"
 #include "util/error.h"
 
 namespace rlblh::serve {
 
 namespace {
 
-// The protocol is defined little-endian; these helpers are byte-order
-// explicit so the wire format does not depend on host endianness.
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounded cursor over a frame payload; every read checks the remaining
-/// length so a truncated body throws instead of reading past the buffer.
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() { return data_[need(1)]; }
-
-  std::uint16_t u16() {
-    const std::size_t at = need(2);
-    return static_cast<std::uint16_t>(data_[at] |
-                                      (std::uint16_t{data_[at + 1]} << 8));
-  }
-
-  std::uint32_t u32() {
-    const std::size_t at = need(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | data_[at + i];
-    return v;
-  }
-
-  std::uint64_t u64() {
-    const std::size_t at = need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data_[at + i];
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string str(std::size_t length) {
-    const std::size_t at = need(length);
-    return std::string(reinterpret_cast<const char*>(data_ + at), length);
-  }
-
-  std::size_t remaining() const { return size_ - pos_; }
-
-  void expect_exhausted() const {
-    if (pos_ != size_) {
-      throw DataError("serve protocol: trailing bytes in frame");
-    }
-  }
-
- private:
-  std::size_t need(std::size_t bytes) {
-    if (size_ - pos_ < bytes) {
-      throw DataError("serve protocol: truncated frame body");
-    }
-    const std::size_t at = pos_;
-    pos_ += bytes;
-    return at;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using Bytes = std::vector<std::uint8_t>;
 
 /// Opens a frame: reserves the length prefix and writes version + type.
 /// Returns the index of the prefix for close_frame to patch.
-std::size_t open_frame(std::vector<std::uint8_t>& out, MessageType type) {
+std::size_t open_frame(Bytes& out, MessageType type) {
   const std::size_t prefix_at = out.size();
-  put_u32(out, 0);  // patched by close_frame
-  put_u8(out, kProtocolVersion);
-  put_u8(out, static_cast<std::uint8_t>(type));
+  ByteWriter w(out);
+  w.u32(0);  // patched by close_frame
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(type));
   return prefix_at;
 }
 
-void close_frame(std::vector<std::uint8_t>& out, std::size_t prefix_at) {
+void close_frame(Bytes& out, std::size_t prefix_at) {
   const std::size_t payload = out.size() - prefix_at - 4;
   RLBLH_REQUIRE(payload <= kMaxFrameBytes,
                 "serve protocol: frame exceeds kMaxFrameBytes");
-  for (int i = 0; i < 4; ++i) {
-    out[prefix_at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(payload >> (8 * i));
-  }
+  const auto length = static_cast<std::uint32_t>(payload);
+  std::memcpy(out.data() + prefix_at, &length, sizeof length);
 }
 
-double checked_f64(Cursor& c, const char* what) {
-  const double v = c.f64();
-  if (!std::isfinite(v)) {
-    throw DataError(std::string("serve protocol: non-finite ") + what);
-  }
+double checked_f64(ByteReader& r, const char* what) {
+  const double v = r.f64();
+  if (!std::isfinite(v)) r.fail(std::string("non-finite ") + what);
   return v;
 }
 
 }  // namespace
 
-void encode_hello(std::vector<std::uint8_t>& out, const HelloMsg& msg) {
+void encode_hello(Bytes& out, const HelloMsg& msg) {
   RLBLH_REQUIRE(msg.spec.size() <= 0xFFFF,
                 "serve protocol: spec string too long");
   const std::size_t at = open_frame(out, MessageType::kHello);
-  put_u64(out, msg.household_id);
-  put_u16(out, static_cast<std::uint16_t>(msg.spec.size()));
-  out.insert(out.end(), msg.spec.begin(), msg.spec.end());
+  ByteWriter w(out);
+  w.u64(msg.household_id);
+  w.u16(static_cast<std::uint16_t>(msg.spec.size()));
+  w.bytes(msg.spec);
   close_frame(out, at);
 }
 
-void encode_hello_ack(std::vector<std::uint8_t>& out, const HelloAckMsg& msg) {
+void encode_hello_ack(Bytes& out, const HelloAckMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kHelloAck);
-  put_u64(out, msg.household_id);
-  put_u32(out, msg.days_completed);
-  put_u32(out, msg.next_interval);
-  put_u8(out, msg.day_open);
-  put_u8(out, msg.resumed);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
+  w.u32(msg.days_completed);
+  w.u32(msg.next_interval);
+  w.u8(msg.day_open);
+  w.u8(msg.resumed);
   close_frame(out, at);
 }
 
-void encode_readings(std::vector<std::uint8_t>& out, const ReadingsMsg& msg) {
+void encode_readings(Bytes& out, const ReadingsMsg& msg) {
   RLBLH_REQUIRE(msg.values.size() <= 0xFFFF,
                 "serve protocol: too many readings in one frame");
   const std::size_t at = open_frame(out, MessageType::kReadings);
-  put_u64(out, msg.household_id);
-  put_u32(out, msg.day);
-  put_u32(out, msg.first_interval);
-  put_u16(out, static_cast<std::uint16_t>(msg.values.size()));
-  for (const double v : msg.values) put_f64(out, v);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
+  w.u32(msg.day);
+  w.u32(msg.first_interval);
+  w.u16(static_cast<std::uint16_t>(msg.values.size()));
+  w.f64s(msg.values);
   close_frame(out, at);
 }
 
-void encode_readings_ack(std::vector<std::uint8_t>& out,
-                         const ReadingsAckMsg& msg) {
+void encode_readings_ack(Bytes& out, const ReadingsAckMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kReadingsAck);
-  put_u64(out, msg.household_id);
-  put_u32(out, msg.day);
-  put_u32(out, msg.next_interval);
-  put_u8(out, msg.day_completed);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
+  w.u32(msg.day);
+  w.u32(msg.next_interval);
+  w.u8(msg.day_completed);
   close_frame(out, at);
 }
 
-void encode_checkpoint(std::vector<std::uint8_t>& out,
-                       const CheckpointMsg& msg) {
+void encode_checkpoint(Bytes& out, const CheckpointMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kCheckpoint);
-  put_u64(out, msg.household_id);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
   close_frame(out, at);
 }
 
-void encode_checkpoint_ack(std::vector<std::uint8_t>& out,
-                           const CheckpointAckMsg& msg) {
+void encode_checkpoint_ack(Bytes& out, const CheckpointAckMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kCheckpointAck);
-  put_u64(out, msg.household_id);
-  put_u32(out, msg.days_completed);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
+  w.u32(msg.days_completed);
   close_frame(out, at);
 }
 
-void encode_stats(std::vector<std::uint8_t>& out, const StatsMsg& msg) {
+void encode_stats(Bytes& out, const StatsMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kStats);
-  put_u64(out, msg.household_id);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
   close_frame(out, at);
 }
 
-void encode_stats_ack(std::vector<std::uint8_t>& out, const StatsAckMsg& msg) {
+void encode_stats_ack(Bytes& out, const StatsAckMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kStatsAck);
-  put_u64(out, msg.household_id);
-  put_u32(out, msg.days_completed);
-  put_f64(out, msg.savings_cents);
-  put_f64(out, msg.bill_cents);
-  put_f64(out, msg.usage_cost_cents);
-  put_f64(out, msg.battery_level_kwh);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
+  w.u32(msg.days_completed);
+  w.f64(msg.savings_cents);
+  w.f64(msg.bill_cents);
+  w.f64(msg.usage_cost_cents);
+  w.f64(msg.battery_level_kwh);
   close_frame(out, at);
 }
 
-void encode_error(std::vector<std::uint8_t>& out, const ErrorMsg& msg) {
+void encode_error(Bytes& out, const ErrorMsg& msg) {
   RLBLH_REQUIRE(msg.message.size() <= 0xFFFF,
                 "serve protocol: error message too long");
   const std::size_t at = open_frame(out, MessageType::kError);
-  put_u16(out, static_cast<std::uint16_t>(msg.code));
-  put_u16(out, static_cast<std::uint16_t>(msg.message.size()));
-  out.insert(out.end(), msg.message.begin(), msg.message.end());
+  ByteWriter w(out);
+  w.u16(static_cast<std::uint16_t>(msg.code));
+  w.u16(static_cast<std::uint16_t>(msg.message.size()));
+  w.bytes(msg.message);
   close_frame(out, at);
 }
 
-void encode_bye(std::vector<std::uint8_t>& out, const ByeMsg& msg) {
+void encode_bye(Bytes& out, const ByeMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kBye);
-  put_u64(out, msg.household_id);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
   close_frame(out, at);
 }
 
-void encode_bye_ack(std::vector<std::uint8_t>& out, const ByeAckMsg& msg) {
+void encode_bye_ack(Bytes& out, const ByeAckMsg& msg) {
   const std::size_t at = open_frame(out, MessageType::kByeAck);
-  put_u64(out, msg.household_id);
+  ByteWriter w(out);
+  w.u64(msg.household_id);
   close_frame(out, at);
 }
 
 Frame decode_payload(const std::uint8_t* data, std::size_t size) {
-  Cursor c(data, size);
-  if (c.remaining() < 2) {
-    throw DataError("serve protocol: frame shorter than version + type");
-  }
-  const std::uint8_t version = c.u8();
+  ByteReader r(std::string_view(reinterpret_cast<const char*>(data), size),
+               "serve protocol");
+  const std::uint8_t version = r.u8();
   if (version != kProtocolVersion) {
-    throw DataError("serve protocol: unsupported version " +
-                    std::to_string(version));
+    r.fail("unsupported version " + std::to_string(version));
   }
   Frame frame;
-  const std::uint8_t raw_type = c.u8();
+  const std::uint8_t raw_type = r.u8();
   switch (static_cast<MessageType>(raw_type)) {
     case MessageType::kHello: {
       frame.type = MessageType::kHello;
-      frame.hello.household_id = c.u64();
-      const std::uint16_t len = c.u16();
-      frame.hello.spec = c.str(len);
+      frame.hello.household_id = r.u64();
+      frame.hello.spec = r.bytes(r.u16());
       break;
     }
     case MessageType::kHelloAck: {
       frame.type = MessageType::kHelloAck;
-      frame.hello_ack.household_id = c.u64();
-      frame.hello_ack.days_completed = c.u32();
-      frame.hello_ack.next_interval = c.u32();
-      frame.hello_ack.day_open = c.u8();
-      frame.hello_ack.resumed = c.u8();
+      frame.hello_ack.household_id = r.u64();
+      frame.hello_ack.days_completed = r.u32();
+      frame.hello_ack.next_interval = r.u32();
+      frame.hello_ack.day_open = r.u8();
+      frame.hello_ack.resumed = r.u8();
       break;
     }
     case MessageType::kReadings: {
       frame.type = MessageType::kReadings;
-      frame.readings.household_id = c.u64();
-      frame.readings.day = c.u32();
-      frame.readings.first_interval = c.u32();
-      const std::uint16_t count = c.u16();
-      frame.readings.values.reserve(count);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        frame.readings.values.push_back(checked_f64(c, "reading value"));
+      frame.readings.household_id = r.u64();
+      frame.readings.day = r.u32();
+      frame.readings.first_interval = r.u32();
+      frame.readings.values.resize(r.u16());
+      r.f64s(frame.readings.values);
+      for (const double v : frame.readings.values) {
+        if (!std::isfinite(v)) r.fail("non-finite reading value");
       }
       break;
     }
     case MessageType::kReadingsAck: {
       frame.type = MessageType::kReadingsAck;
-      frame.readings_ack.household_id = c.u64();
-      frame.readings_ack.day = c.u32();
-      frame.readings_ack.next_interval = c.u32();
-      frame.readings_ack.day_completed = c.u8();
+      frame.readings_ack.household_id = r.u64();
+      frame.readings_ack.day = r.u32();
+      frame.readings_ack.next_interval = r.u32();
+      frame.readings_ack.day_completed = r.u8();
       break;
     }
     case MessageType::kCheckpoint: {
       frame.type = MessageType::kCheckpoint;
-      frame.checkpoint.household_id = c.u64();
+      frame.checkpoint.household_id = r.u64();
       break;
     }
     case MessageType::kCheckpointAck: {
       frame.type = MessageType::kCheckpointAck;
-      frame.checkpoint_ack.household_id = c.u64();
-      frame.checkpoint_ack.days_completed = c.u32();
+      frame.checkpoint_ack.household_id = r.u64();
+      frame.checkpoint_ack.days_completed = r.u32();
       break;
     }
     case MessageType::kStats: {
       frame.type = MessageType::kStats;
-      frame.stats.household_id = c.u64();
+      frame.stats.household_id = r.u64();
       break;
     }
     case MessageType::kStatsAck: {
       frame.type = MessageType::kStatsAck;
-      frame.stats_ack.household_id = c.u64();
-      frame.stats_ack.days_completed = c.u32();
-      frame.stats_ack.savings_cents = checked_f64(c, "savings");
-      frame.stats_ack.bill_cents = checked_f64(c, "bill");
-      frame.stats_ack.usage_cost_cents = checked_f64(c, "usage cost");
-      frame.stats_ack.battery_level_kwh = checked_f64(c, "battery level");
+      frame.stats_ack.household_id = r.u64();
+      frame.stats_ack.days_completed = r.u32();
+      frame.stats_ack.savings_cents = checked_f64(r, "savings");
+      frame.stats_ack.bill_cents = checked_f64(r, "bill");
+      frame.stats_ack.usage_cost_cents = checked_f64(r, "usage cost");
+      frame.stats_ack.battery_level_kwh = checked_f64(r, "battery level");
       break;
     }
     case MessageType::kError: {
       frame.type = MessageType::kError;
-      frame.error.code = static_cast<ErrorCode>(c.u16());
-      const std::uint16_t len = c.u16();
-      frame.error.message = c.str(len);
+      frame.error.code = static_cast<ErrorCode>(r.u16());
+      frame.error.message = r.bytes(r.u16());
       break;
     }
     case MessageType::kBye: {
       frame.type = MessageType::kBye;
-      frame.bye.household_id = c.u64();
+      frame.bye.household_id = r.u64();
       break;
     }
     case MessageType::kByeAck: {
       frame.type = MessageType::kByeAck;
-      frame.bye_ack.household_id = c.u64();
+      frame.bye_ack.household_id = r.u64();
       break;
     }
     default:
-      throw DataError("serve protocol: unknown message type " +
-                      std::to_string(raw_type));
+      r.fail("unknown message type " + std::to_string(raw_type));
   }
-  c.expect_exhausted();
+  r.expect_end();
   return frame;
 }
 
@@ -346,7 +254,7 @@ bool FrameReader::take(std::vector<std::uint8_t>& payload) {
   if (available < 4) return false;
   const std::uint8_t* p = buffer_.data() + consumed_;
   std::uint32_t length = 0;
-  for (int i = 3; i >= 0; --i) length = (length << 8) | p[i];
+  std::memcpy(&length, p, sizeof length);  // little-endian (util/bytes.h)
   if (length > kMaxFrameBytes) {
     throw DataError("serve protocol: frame length " + std::to_string(length) +
                     " exceeds limit");

@@ -171,7 +171,7 @@ void SimEngine::step_loop(std::size_t end) {
       } else {
         policy.observe_block(
             block_start,
-            ConstTraceLane(x + block_start, 1, block_end - block_start));
+            std::span<const double>(x + block_start, block_end - block_start));
       }
     }
   }

@@ -1,12 +1,12 @@
 // Little-endian binary encoding for state images (the daemon's household
-// checkpoints, DESIGN.md §15).
+// checkpoints, DESIGN.md §15) and the serve wire protocol's frames.
 //
 // ByteWriter appends fixed-width integers and raw IEEE-754 doubles to a
 // byte buffer; ByteReader reads them back through a bounds-checked cursor
 // that throws DataError on underrun instead of reading past the buffer.
 // Doubles travel as their bit patterns, so a write/read round trip is exact
-// by construction. Arrays are copied in one memcpy, which is why the
-// format is defined on little-endian hosts only.
+// by construction. Fields and arrays are copied as host bytes, which is
+// why the format is defined on little-endian hosts only.
 #pragma once
 
 #include <bit>
@@ -24,14 +24,17 @@
 namespace rlblh {
 
 static_assert(std::endian::native == std::endian::little,
-              "state images are little-endian; add byte swapping to port");
+              "images and frames are little-endian; add byte swaps to port");
 
-/// Appends little-endian fields to a caller-owned byte string.
+/// Appends little-endian fields to a caller-owned byte buffer: a
+/// std::string (state images) or a std::vector<std::uint8_t> (frames).
+template <typename Buffer>
 class ByteWriter {
  public:
-  explicit ByteWriter(std::string& out) : out_(out) {}
+  explicit ByteWriter(Buffer& out) : out_(out) {}
 
   void u8(std::uint8_t v) { raw(&v, 1); }
+  void u16(std::uint16_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void f64(double v) { raw(&v, sizeof v); }
@@ -41,10 +44,11 @@ class ByteWriter {
 
  private:
   void raw(const void* data, std::size_t n) {
-    out_.append(static_cast<const char*>(data), n);
+    const auto* bytes = static_cast<const typename Buffer::value_type*>(data);
+    out_.insert(out_.end(), bytes, bytes + n);
   }
 
-  std::string& out_;
+  Buffer& out_;
 };
 
 /// Bounds-checked little-endian cursor over a byte string. Every read
@@ -55,6 +59,7 @@ class ByteReader {
       : data_(data), what_(std::move(what)) {}
 
   std::uint8_t u8() { return fixed<std::uint8_t>(); }
+  std::uint16_t u16() { return fixed<std::uint16_t>(); }
   std::uint32_t u32() { return fixed<std::uint32_t>(); }
   std::uint64_t u64() { return fixed<std::uint64_t>(); }
   double f64() { return fixed<double>(); }

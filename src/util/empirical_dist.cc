@@ -61,7 +61,7 @@ double EmpiricalDistribution::sample(Rng& rng) const {
   return left + rng.uniform() * width;
 }
 
-void EmpiricalDistribution::write_state(ByteWriter& out) const {
+void EmpiricalDistribution::write_state(ByteWriter<std::string>& out) const {
   out.u64(count_);
   out.f64(sum_);
   out.f64(reservoir_fraction_);

@@ -56,7 +56,7 @@ class EmpiricalDistribution {
   /// Appends the full sampling state to a state image: count, sum,
   /// fraction, the reservoir and the histogram mass. A read_state() into a
   /// distribution of identical geometry reproduces sample() draws bitwise.
-  void write_state(ByteWriter& out) const;
+  void write_state(ByteWriter<std::string>& out) const;
 
   /// Restores state written by write_state(). Throws DataError on a short
   /// image, a geometry mismatch, a reservoir larger than the capacity or

@@ -62,7 +62,7 @@ void Histogram::reset() {
   total_ = 0.0;
 }
 
-void Histogram::write_state(ByteWriter& out) const {
+void Histogram::write_state(ByteWriter<std::string>& out) const {
   out.u64(counts_.size());
   out.f64(lo_);
   out.f64(hi_);

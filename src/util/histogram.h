@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -13,6 +14,7 @@
 namespace rlblh {
 
 class ByteReader;
+template <typename Buffer>
 class ByteWriter;
 
 /// Histogram with `bins` equal-width cells covering [lo, hi]. Values outside
@@ -68,7 +70,7 @@ class Histogram {
   /// Appends the accumulated mass (total and counts) to a state image.
   /// Geometry (bins, lo, hi) is the constructor's business and is echoed
   /// only for validation.
-  void write_state(ByteWriter& out) const;
+  void write_state(ByteWriter<std::string>& out) const;
 
   /// Restores mass written by write_state() into a histogram of identical
   /// geometry. The stored total is adopted verbatim (not recomputed), so a

@@ -74,7 +74,7 @@ double run_days(RlBlhPolicy& policy, Battery& battery,
         savings += prices.rate(n0 + i) *
                    (usage[i] - (y + step.grid_extra));
       }
-      policy.observe_block(n0, ConstTraceLane(usage.data(), 1, usage.size()));
+      policy.observe_block(n0, usage);
       n0 += width;
     }
     policy.end_day();

@@ -19,6 +19,11 @@ DayTrace random_day(std::size_t n, double cap, Rng& rng) {
 TEST(PairwiseMi, RejectsBadConstruction) {
   EXPECT_THROW(PairwiseMiEstimator(1, 8, 1.0, 1.0), ConfigError);
   EXPECT_THROW(PairwiseMiEstimator(10, 1, 1.0, 1.0), ConfigError);
+  // Joint cells are uint32 ids over levels^4: 256 is the largest count
+  // that fits, and 2^32 would wrap the table sizes to zero.
+  EXPECT_THROW(PairwiseMiEstimator(10, 257, 1.0, 1.0), ConfigError);
+  EXPECT_THROW(PairwiseMiEstimator(10, std::size_t{1} << 32, 1.0, 1.0),
+               ConfigError);
 }
 
 TEST(PairwiseMi, EmptyEstimatorReportsZero) {

@@ -20,6 +20,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -320,7 +321,7 @@ void run_real_day(RlBlhPolicy& policy, const TouSchedule& prices,
     const std::size_t width =
         std::min(config.decision_interval, usage.size() - n0);
     const double y = policy.fill_block(n0, width, level);
-    policy.observe_block(n0, ConstTraceLane(usage.data() + n0, 1, width));
+    policy.observe_block(n0, std::span<const double>(usage).subspan(n0, width));
     for (std::size_t i = 0; i < width; ++i) {
       level = std::clamp(level + y - usage[n0 + i], 0.0,
                          config.battery_capacity);

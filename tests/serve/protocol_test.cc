@@ -4,7 +4,11 @@
 // fragmentation and rejects unrecoverable length prefixes.
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +156,65 @@ TEST(ProtocolTest, ErrorRoundTrip) {
   ASSERT_EQ(decoded.type, MessageType::kError);
   EXPECT_EQ(decoded.error.code, ErrorCode::kOutOfOrder);
   EXPECT_EQ(decoded.error.message, msg.message);
+}
+
+/// Bytes of a hex string; spaces only separate fields for the reader.
+std::vector<std::uint8_t> hex(std::string_view text) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == ' ') continue;
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(text.substr(i, 2)), nullptr, 16)));
+    ++i;
+  }
+  return out;
+}
+
+TEST(ProtocolTest, EveryMessageTypeEncodesToPinnedBytes) {
+  // One frame per type, written out by hand from the layout in protocol.h:
+  // u32 length prefix, version, type, then the fields, all little-endian.
+  // The round trips above cannot see a width or byte-order change made to
+  // the encoder and the decoder alike; these bytes can.
+  using Encode = std::function<void(std::vector<std::uint8_t>&)>;
+  const std::vector<std::pair<Encode, std::string_view>> frames = {
+      {[](auto& out) { encode_hello(out, {0x0123456789abcdefull, "ab"}); },
+       "0e000000 01 01 efcdab8967452301 0200 6162"},
+      {[](auto& out) { encode_hello_ack(out, {42, 7, 481, 1, 0}); },
+       "14000000 01 02 2a00000000000000 07000000 e1010000 01 00"},
+      {[](auto& out) { encode_readings(out, {5, 3, 258, {1.0, 0.25}}); },
+       "24000000 01 03 0500000000000000 03000000 02010000 0200 "
+       "000000000000f03f 000000000000d03f"},
+      {[](auto& out) { encode_readings_ack(out, {5, 3, 1440, 1}); },
+       "13000000 01 04 0500000000000000 03000000 a0050000 01"},
+      {[](auto& out) { encode_checkpoint(out, {0x1122334455667788ull}); },
+       "0a000000 01 05 8877665544332211"},
+      {[](auto& out) { encode_checkpoint_ack(out, {9, 12}); },
+       "0e000000 01 06 0900000000000000 0c000000"},
+      {[](auto& out) { encode_stats(out, {9}); },
+       "0a000000 01 07 0900000000000000"},
+      {[](auto& out) { encode_stats_ack(out, {9, 2, 1.5, -2.0, 0.125, 3.0}); },
+       "2e000000 01 08 0900000000000000 02000000 000000000000f83f "
+       "00000000000000c0 000000000000c03f 0000000000000840"},
+      {[](auto& out) { encode_error(out, {ErrorCode::kOutOfOrder, "no"}); },
+       "08000000 01 09 0400 0200 6e6f"},
+      {[](auto& out) { encode_bye(out, {0x0102}); },
+       "0a000000 01 0a 0201000000000000"},
+      {[](auto& out) { encode_bye_ack(out, {0xff}); },
+       "0a000000 01 0b ff00000000000000"},
+  };
+  // Each encoder also appends behind what a buffer already holds.
+  std::vector<std::uint8_t> stream;
+  std::vector<std::uint8_t> expected_stream;
+  for (const auto& [encode, bytes] : frames) {
+    const std::vector<std::uint8_t> expected = hex(bytes);
+    std::vector<std::uint8_t> frame;
+    encode(frame);
+    EXPECT_EQ(frame, expected) << bytes;
+    encode(stream);
+    expected_stream.insert(expected_stream.end(), expected.begin(),
+                           expected.end());
+  }
+  EXPECT_EQ(stream, expected_stream);
 }
 
 TEST(ProtocolTest, RejectsWrongVersion) {

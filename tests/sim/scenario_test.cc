@@ -129,6 +129,12 @@ TEST(ScenarioBuildTest, RunSpecMatchesRunScenarioBitwise) {
   expect_bitwise_equal(via_scenario, via_engine);
 }
 
+TEST(ScenarioBuildTest, RunSpecRejectsMiLevelsBeyondTheEstimatorsCells) {
+  const ScenarioSpec spec =
+      ScenarioSpec::parse("mi=4294967296;train=1;eval=2");
+  EXPECT_THROW(run_spec(spec, make_scenario_pricing(spec)), ConfigError);
+}
+
 TEST(ScenarioBuildTest, MdpPretrainIsDeterministic) {
   ScenarioSpec spec = ScenarioSpec::parse(
       "policy=mdp;battery=3;seed=19;train=2;eval=2;"
