@@ -79,9 +79,11 @@ inline ScenarioSpec paper_spec(const char* policy, std::size_t nd,
 }
 
 inline void print_header(const char* what) {
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
   std::printf("%s\n", what);
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
 }
 
 }  // namespace rlblh::bench

@@ -3,6 +3,9 @@
 // figure benches spend measuring (as opposed to simulating).
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "bench_main.h"
 #include "meter/household.h"
 #include "meter/household_registry.h"
@@ -36,17 +39,101 @@ void BM_PearsonDay(benchmark::State& state) {
 }
 BENCHMARK(BM_PearsonDay);
 
+/// Evaluation windows the figure benches and fleets use stay at or below
+/// 120 days; BM_MiObserveDay restarts its window at this length so the
+/// stored pair codes stay bounded however many iterations run.
+constexpr int kObserveWindow = 120;
+
 void BM_MiObserveDay(benchmark::State& state) {
   PairwiseMiEstimator mi(kIntervalsPerDay, 8, kDefaultUsageCap,
                          kDefaultUsageCap);
   const DayTrace x = sample_day(3);
   const DayTrace y = sample_day(4);
   for (auto _ : state) {
+    if (mi.days() == kObserveWindow) {
+      state.PauseTiming();
+      mi.reset();
+      state.ResumeTiming();
+    }
     mi.observe_day(x, y);
   }
   benchmark::DoNotOptimize(mi.days());
 }
 BENCHMARK(BM_MiObserveDay);
+
+/// 480 precomputed `default` household days (the usage stream) and 480
+/// days of a second household (the independent reading stream).
+struct WindowDays {
+  std::vector<DayTrace> usage;
+  std::vector<DayTrace> other;
+};
+
+const WindowDays& window_days() {
+  static const WindowDays days = [] {
+    WindowDays out;
+    HouseholdModel usage(make_household_config("default", {}), 21);
+    HouseholdModel other(make_household_config("default", {}), 22);
+    for (int d = 0; d < 480; ++d) {
+      out.usage.push_back(usage.generate_day());
+      out.other.push_back(other.generate_day());
+    }
+    return out;
+  }();
+  return days;
+}
+
+/// Observes the first `days` window days: readings identical to the usage
+/// (policy `none`) or independent of it.
+void observe_window(PairwiseMiEstimator& mi, std::size_t days,
+                    bool identical) {
+  const WindowDays& window = window_days();
+  for (std::size_t d = 0; d < days; ++d) {
+    mi.observe_day(window.usage[d],
+                   identical ? window.usage[d] : window.other[d]);
+  }
+}
+
+/// A whole evaluation window: observe D days, then one query.
+/// Args: D, identical (0/1).
+void BM_MiWindow(benchmark::State& state) {
+  const auto days = static_cast<std::size_t>(state.range(0));
+  const bool identical = state.range(1) != 0;
+  window_days();
+  PairwiseMiEstimator mi(kIntervalsPerDay, 8, kDefaultUsageCap,
+                         kDefaultUsageCap);
+  for (auto _ : state) {
+    state.PauseTiming();
+    mi.reset();
+    state.ResumeTiming();
+    observe_window(mi, days, identical);
+    benchmark::DoNotOptimize(mi.normalized_mi());
+  }
+}
+BENCHMARK(BM_MiWindow)
+    ->ArgNames({"days", "identical"})
+    ->ArgsProduct({{10, 120, 480}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+/// The first query after D observed days (observation untimed).
+/// Args: D, identical (0/1).
+void BM_MiFirstQuery(benchmark::State& state) {
+  const auto days = static_cast<std::size_t>(state.range(0));
+  const bool identical = state.range(1) != 0;
+  window_days();
+  PairwiseMiEstimator mi(kIntervalsPerDay, 8, kDefaultUsageCap,
+                         kDefaultUsageCap);
+  for (auto _ : state) {
+    state.PauseTiming();
+    mi.reset();
+    observe_window(mi, days, identical);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(mi.normalized_mi());
+  }
+}
+BENCHMARK(BM_MiFirstQuery)
+    ->ArgNames({"days", "identical"})
+    ->ArgsProduct({{10, 120, 480}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MiQuery(benchmark::State& state) {
   PairwiseMiEstimator mi(kIntervalsPerDay, 8, kDefaultUsageCap,

@@ -93,7 +93,8 @@ int main() {
     const DayTrace rl_stream = meter_stream(rlblh, rl_battery, usage, prices);
 
     const auto fold = [&](NalmScore& acc, const DayTrace& stream) {
-      const NalmScore s = nalm_score(nalm_detect(stream, attack), truth, attack);
+      const NalmScore s =
+          nalm_score(nalm_detect(stream, attack), truth, attack);
       acc.true_events += s.true_events;
       acc.detected_events += s.detected_events;
       acc.matched += s.matched;

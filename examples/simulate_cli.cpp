@@ -46,6 +46,7 @@
 #include "sim/fleet.h"
 #include "sim/scenario.h"
 #include "util/csv.h"
+#include "util/error.h"
 
 namespace {
 
@@ -257,6 +258,11 @@ int run_single(const Options& options, const ScenarioSpec& spec) {
                 pulse_shaped ? "pulse" : "bounds-only");
   }
 
+  // Built first, so a bad `mi` fails before pre-training and training.
+  RLBLH_REQUIRE(spec.eval_days >= 1,
+                "simulate_cli: need at least one evaluation day");
+  EvaluationAccumulator accumulator(sim.source().intervals(), spec.mi_levels,
+                                    sim.source().usage_cap());
   pretrain_if_needed(spec, prices, policy);
   if (spec.train_days > 0) {
     RLBLH_OBS_SPAN("cli.train");
@@ -264,13 +270,13 @@ int run_single(const Options& options, const ScenarioSpec& spec) {
     std::printf("trained %zu day(s)\n", spec.train_days);
   }
 
-  EvaluationConfig eval;
-  eval.train_days = 0;
-  eval.eval_days = spec.eval_days;
-  eval.mi_levels = spec.mi_levels;
   const EvaluationResult r = [&] {
     RLBLH_OBS_SPAN("cli.evaluate");
-    return evaluate_policy(sim, policy, eval);
+    sim.run_days(policy, spec.eval_days,
+                 [&](std::size_t, const DayResult& day) {
+                   accumulator.observe_day(day, prices);
+                 });
+    return accumulator.result();
   }();
   std::printf("over %zu evaluation day(s):\n", spec.eval_days);
   std::printf("  saving ratio : %6.2f %%\n", 100.0 * r.saving_ratio);

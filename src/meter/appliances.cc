@@ -145,7 +145,8 @@ void Hvac::generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
   }
 }
 
-WaterHeater::WaterHeater(double power) : Appliance("water_heater"), power_(power) {
+WaterHeater::WaterHeater(double power)
+    : Appliance("water_heater"), power_(power) {
   RLBLH_REQUIRE(power > 0.0, "WaterHeater: power must be > 0");
 }
 
@@ -298,7 +299,8 @@ void Laundry::generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
   const std::size_t washer_len = jitter_len(38, 0.2, rng);
   emit_run(washer_start, washer_len, washer_power_, trace, cap, events);
   const std::size_t dryer_start =
-      washer_start + washer_len + static_cast<std::size_t>(rng.uniform_int(2, 10));
+      washer_start + washer_len +
+      static_cast<std::size_t>(rng.uniform_int(2, 10));
   emit_run(dryer_start, jitter_len(45, 0.2, rng), dryer_power_, trace, cap,
            events);
 }

@@ -99,7 +99,8 @@ class Refrigerator final : public Appliance {
  public:
   /// power: kWh per interval while the compressor runs; on/off: nominal
   /// phase lengths in intervals (jittered ±25% per cycle).
-  Refrigerator(double power = 0.0025, std::size_t on = 22, std::size_t off = 34);
+  Refrigerator(double power = 0.0025, std::size_t on = 22,
+               std::size_t off = 34);
   void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
                 double cap, std::vector<ApplianceEvent>* events) const override;
 
@@ -147,7 +148,8 @@ class WaterHeater final : public Appliance {
 class Lighting final : public Appliance {
  public:
   /// dawn/dusk: intervals before/after which lighting is needed.
-  Lighting(double power = 0.0035, std::size_t dawn = 420, std::size_t dusk = 1080);
+  Lighting(double power = 0.0035, std::size_t dawn = 420,
+           std::size_t dusk = 1080);
   void generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
                 double cap, std::vector<ApplianceEvent>* events) const override;
 

@@ -121,14 +121,14 @@ constexpr bool compiled_in() { return false; }
 
 /// Adds the nanoseconds elapsed since `since` (an RLBLH_OBS_NOW point) to
 /// the named counter.
-#define RLBLH_OBS_COUNT_NS_SINCE(name, since)                             \
-  do {                                                                    \
-    if (::rlblh::obs::enabled()) {                                        \
-      RLBLH_OBS_COUNT(name,                                               \
-                      ::std::chrono::duration_cast<::std::chrono::nanoseconds>( \
-                          ::std::chrono::steady_clock::now() - (since))   \
-                          .count());                                      \
-    }                                                                     \
+#define RLBLH_OBS_COUNT_NS_SINCE(name, since)                            \
+  do {                                                                   \
+    if (::rlblh::obs::enabled()) {                                       \
+      RLBLH_OBS_COUNT(                                                   \
+          name, ::std::chrono::duration_cast<::std::chrono::nanoseconds>( \
+                    ::std::chrono::steady_clock::now() - (since))        \
+                    .count());                                           \
+    }                                                                    \
   } while (0)
 
 #else  // !RLBLH_OBS_ENABLED

@@ -89,9 +89,9 @@ TouSchedule TouSchedule::hourly_rtp(std::size_t intervals, std::size_t block,
     const double diurnal =
         0.5 * (1.0 - std::cos(2.0 * std::numbers::pi * (phase - 0.2)));
     const double base = rng.uniform(min_rate, max_rate);
-    const double rate =
-        std::clamp(0.5 * base + 0.5 * (min_rate + diurnal * (max_rate - min_rate)),
-                   min_rate, max_rate);
+    const double rate = std::clamp(
+        0.5 * base + 0.5 * (min_rate + diurnal * (max_rate - min_rate)),
+        min_rate, max_rate);
     const std::size_t end = std::min(start + block, intervals);
     for (std::size_t n = start; n < end; ++n) rates[n] = rate;
   }

@@ -8,8 +8,9 @@ namespace rlblh {
 
 double pearson_correlation(std::span<const double> x,
                            std::span<const double> y) {
-  RLBLH_REQUIRE(x.size() == y.size() && !x.empty(),
-                "pearson_correlation: series must be nonempty and equal length");
+  RLBLH_REQUIRE(
+      x.size() == y.size() && !x.empty(),
+      "pearson_correlation: series must be nonempty and equal length");
   const auto n = static_cast<double>(x.size());
   double sx = 0.0, sy = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {

@@ -44,9 +44,9 @@ struct NalmScore {
   std::size_t matched = 0;          ///< true events matched by a detection
   /// Recall on detectable ground truth: matched / true_events (0 when none).
   double detection_rate() const {
-    return true_events == 0
-               ? 0.0
-               : static_cast<double>(matched) / static_cast<double>(true_events);
+    return true_events == 0 ? 0.0
+                            : static_cast<double>(matched) /
+                                  static_cast<double>(true_events);
   }
 };
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "meter/household_registry.h"
+#include "obs/obs.h"
 #include "util/error.h"
 
 namespace rlblh {
@@ -10,30 +11,16 @@ namespace rlblh {
 EvaluationAccumulator::EvaluationAccumulator(std::size_t intervals,
                                              std::size_t mi_levels,
                                              double usage_cap)
-    : intervals_(intervals), mi_levels_(mi_levels), usage_cap_(usage_cap),
-      mi_(intervals, mi_levels, usage_cap, usage_cap) {}
+    : mi_(intervals, mi_levels, usage_cap, usage_cap) {}
 
 void EvaluationAccumulator::reset(std::size_t intervals, std::size_t mi_levels,
                                   double usage_cap) {
-  sr_.reset();
-  cc_.reset();
-  if (intervals == intervals_ && mi_levels == mi_levels_ &&
-      usage_cap == usage_cap_) {
-    mi_.reset();
-  } else {
-    intervals_ = intervals;
-    mi_levels_ = mi_levels;
-    usage_cap_ = usage_cap;
-    mi_ = PairwiseMiEstimator(intervals, mi_levels, usage_cap, usage_cap);
-  }
-  bill_cents_total_ = 0.0;
-  usage_cost_cents_total_ = 0.0;
-  battery_violations_ = 0;
-  days_ = 0;
+  *this = EvaluationAccumulator(intervals, mi_levels, usage_cap);
 }
 
 void EvaluationAccumulator::observe_day(const DayResult& day,
                                         const TouSchedule& prices) {
+  RLBLH_OBS_NOW(observe_start);
   sr_.observe_day(day.usage, day.readings, prices);
   cc_.observe_day(day.usage, day.readings);
   mi_.observe_day(day.usage, day.readings);
@@ -41,11 +28,14 @@ void EvaluationAccumulator::observe_day(const DayResult& day,
   bill_cents_total_ += day.bill_cents;
   usage_cost_cents_total_ += day.usage_cost_cents;
   ++days_;
+  RLBLH_OBS_COUNT("eval.days", 1);
+  RLBLH_OBS_COUNT_NS_SINCE("eval.observe_ns", observe_start);
 }
 
 EvaluationResult EvaluationAccumulator::result() const {
   RLBLH_REQUIRE(days_ >= 1,
                 "EvaluationAccumulator: need at least one observed day");
+  RLBLH_OBS_NOW(result_start);
   const auto days = static_cast<double>(days_);
   EvaluationResult result;
   result.saving_ratio = sr_.saving_ratio();
@@ -55,6 +45,7 @@ EvaluationResult EvaluationAccumulator::result() const {
   result.mean_daily_bill_cents = bill_cents_total_ / days;
   result.mean_daily_usage_cost_cents = usage_cost_cents_total_ / days;
   result.battery_violations = battery_violations_;
+  RLBLH_OBS_COUNT_NS_SINCE("eval.result_ns", result_start);
   return result;
 }
 
@@ -62,13 +53,14 @@ EvaluationResult evaluate_policy(Simulator& simulator, BlhPolicy& policy,
                                  const EvaluationConfig& config) {
   RLBLH_REQUIRE(config.eval_days >= 1,
                 "evaluate_policy: need at least one evaluation day");
-  if (config.train_days > 0) {
-    simulator.run_days(policy, config.train_days);
-  }
-
+  // Built before training, so a bad metric setting (mi_levels) fails
+  // before the first day runs; construction draws no randomness.
   EvaluationAccumulator accumulator(simulator.source().intervals(),
                                     config.mi_levels,
                                     simulator.source().usage_cap());
+  if (config.train_days > 0) {
+    simulator.run_days(policy, config.train_days);
+  }
   simulator.run_days(policy, config.eval_days,
                      [&](std::size_t, const DayResult& day) {
                        accumulator.observe_day(day, simulator.prices());

@@ -28,7 +28,7 @@ namespace rlblh {
 struct EvaluationConfig {
   std::size_t train_days = 60;  ///< days run before measurement starts
   std::size_t eval_days = 120;  ///< days over which metrics are averaged
-  std::size_t mi_levels = 8;    ///< quantization levels for the MI estimate
+  std::size_t mi_levels = 8;    ///< MI quantization levels (2..16)
 };
 
 /// Aggregated metrics over the evaluation window.
@@ -50,31 +50,30 @@ struct EvaluationResult {
 class EvaluationAccumulator {
  public:
   /// `intervals` slots per day and `usage_cap` bound the MI quantizer (both
-  /// streams share the usage cap); `mi_levels` quantization levels.
+  /// streams share the usage cap); `mi_levels` quantization levels (2..16,
+  /// else ConfigError). Building one draws no randomness, so run paths
+  /// build it before training to fail fast on a bad `mi_levels`.
   EvaluationAccumulator(std::size_t intervals, std::size_t mi_levels,
                         double usage_cap);
 
-  /// Folds in one evaluation day priced by `prices`.
+  /// Folds in one evaluation day priced by `prices`. While observability
+  /// records, counts `eval.days` and adds the call's time to
+  /// `eval.observe_ns`.
   void observe_day(const DayResult& day, const TouSchedule& prices);
 
   /// Number of days folded in.
   std::size_t days() const { return days_; }
 
-  /// Metrics over the observed days. Requires days() >= 1.
+  /// Metrics over the observed days. Requires days() >= 1. While
+  /// observability records, adds the call's time to `eval.result_ns`.
   EvaluationResult result() const;
 
-  /// Returns the accumulator to a fresh state for the given geometry. When
-  /// (intervals, mi_levels, usage_cap) match the current geometry the MI
-  /// estimator's buffers are reused (sparse zeroing, no reallocation);
-  /// otherwise it is rebuilt. Either way the post-state is indistinguishable
-  /// from a freshly constructed accumulator — fleet workers rely on that to
-  /// recycle one accumulator across thousands of households.
+  /// Returns the accumulator to a freshly constructed state for the given
+  /// geometry. The MI estimator holds only its per-day pair codes and a few
+  /// KB of query scratch, so the accumulator is simply rebuilt.
   void reset(std::size_t intervals, std::size_t mi_levels, double usage_cap);
 
  private:
-  std::size_t intervals_;
-  std::size_t mi_levels_;
-  double usage_cap_;
   SavingRatioAccumulator sr_;
   CorrelationAccumulator cc_;
   PairwiseMiEstimator mi_;

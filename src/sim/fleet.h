@@ -9,11 +9,12 @@
 //
 // Chunked execution exists because per-household fixed cost used to drown
 // the day loop at fleet scale: each cell leases a RunArena whose SimEngine
-// day buffers and EvaluationAccumulator (with its levels^4 MI tables) are
-// reused across the chunk's households, and the seed-independent parts of
-// each distinct spec — the resolved household preset and the policy
-// parameter bag (ScenarioBlueprint), plus the price schedule — are resolved
-// once before the fan-out and shared read-only by every cell.
+// day buffers are reused across the chunk's households (its accumulator,
+// a few KB plus 2 B per interval per eval day of MI pair codes, is rebuilt
+// per household), and the seed-independent parts of each distinct spec —
+// the resolved household preset and the policy parameter bag
+// (ScenarioBlueprint), plus the price schedule — are resolved once before
+// the fan-out and shared read-only by every cell.
 //
 // Determinism contract (same as SweepRunner's, extended to chunking):
 // results are bitwise identical across thread counts AND chunk sizes. Each
@@ -21,9 +22,9 @@
 // schedule, its RNG streams): streams are splitmix-derived from
 // (fleet_seed, household index) — never from chunk geometry — and arena
 // reuse is invisible because every leased buffer is either fully rewritten
-// per day (engine scratch) or reset to fresh-constructed state per
-// household (accumulator). Chunk results are collected and folded in grid
-// order on the calling thread.
+// per day (engine scratch) or freshly constructed per household
+// (accumulator). Chunk results are collected and folded in grid order on
+// the calling thread.
 #pragma once
 
 #include <cstddef>

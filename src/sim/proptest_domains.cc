@@ -30,8 +30,9 @@ Domain<RlBlhConfig> rlblh_config_domain() {
     RlBlhConfig config;
     config.intervals_per_day =
         static_cast<std::size_t>(rng.uniform_int(120, 1440));
-    config.decision_interval = static_cast<std::size_t>(rng.uniform_int(
-        1, static_cast<int>(std::min<std::size_t>(60, config.intervals_per_day / 2))));
+    config.decision_interval = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<int>(std::min<std::size_t>(
+                               60, config.intervals_per_day / 2))));
     config.usage_cap = rng.uniform(0.02, 0.15);
     config.num_actions = static_cast<std::size_t>(rng.uniform_int(2, 12));
     // Guard bands need b_M >= 2 * x_M * n_D; sample headroom above that.
@@ -57,7 +58,8 @@ Domain<RlBlhConfig> rlblh_config_domain() {
     // reproduction still pairs with every consumer of the domain.
     if (from.intervals_per_day > 120) {
       push_shrunk(&out, from, [&](RlBlhConfig& c) {
-        c.intervals_per_day = std::max<std::size_t>(120, c.intervals_per_day / 2);
+        c.intervals_per_day =
+            std::max<std::size_t>(120, c.intervals_per_day / 2);
         c.decision_interval =
             std::min(c.decision_interval, c.intervals_per_day / 2);
       });

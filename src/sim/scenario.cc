@@ -192,12 +192,7 @@ std::unique_ptr<TraceSource> make_blueprint_source(const ScenarioSpec& spec,
 EvaluationAccumulator& RunArena::accumulator(std::size_t intervals,
                                              std::size_t mi_levels,
                                              double usage_cap) {
-  if (accumulator_.has_value()) {
-    accumulator_->reset(intervals, mi_levels, usage_cap);
-  } else {
-    accumulator_.emplace(intervals, mi_levels, usage_cap);
-  }
-  return *accumulator_;
+  return accumulator_.emplace(intervals, mi_levels, usage_cap);
 }
 
 EvaluationResult run_blueprint(const ScenarioSpec& spec,
@@ -217,6 +212,10 @@ EvaluationResult run_blueprint(const ScenarioSpec& spec,
     bag.set("seed", policy_seed);
     policy = make_policy(spec.policy, bag);
   }
+  // Leased before pre-training and training, so a bad `mi` fails before
+  // any day runs; building the accumulator draws no randomness.
+  EvaluationAccumulator& accumulator = arena.accumulator(
+      source->intervals(), spec.mi_levels, source->usage_cap());
   pretrain_from(spec, bp, household_seed, prices, *policy);
 
   Battery battery(spec.battery_kwh, spec.battery_kwh / 2.0);
@@ -224,8 +223,6 @@ EvaluationResult run_blueprint(const ScenarioSpec& spec,
   if (spec.train_days > 0) {
     engine.run_days(*source, prices, battery, *policy, spec.train_days);
   }
-  EvaluationAccumulator& accumulator = arena.accumulator(
-      source->intervals(), spec.mi_levels, source->usage_cap());
   engine.run_days(*source, prices, battery, *policy, spec.eval_days,
                   [&](std::size_t, const DayResult& day) {
                     accumulator.observe_day(day, prices);

@@ -50,7 +50,7 @@ struct ScenarioSpec {
   std::optional<std::uint64_t> hseed; ///< household seed; default seed + 1000
   std::size_t train_days = 30;        ///< days run before measurement
   std::size_t eval_days = 30;         ///< days over which metrics accumulate
-  std::size_t mi_levels = 8;          ///< MI quantization levels
+  std::size_t mi_levels = 8;          ///< MI levels; runs need 2..16
 
   SpecParams policy_params;     ///< dotted `policy.*` slice
   SpecParams household_params;  ///< dotted `household.*` slice
@@ -150,11 +150,11 @@ std::unique_ptr<TraceSource> make_blueprint_source(const ScenarioSpec& spec,
 
 /// Reusable per-worker scratch for repeated run_spec/run_blueprint calls:
 /// the SimEngine (whose day buffers persist across households) and the
-/// EvaluationAccumulator (whose MI tables are sparse-reset between
-/// households). One arena serves one worker thread; runs borrow it
-/// sequentially. Every buffer handed out is either fully overwritten per
-/// day (engine scratch) or reset to fresh-constructed state per run
-/// (accumulator), so reuse cannot leak state between households — the
+/// EvaluationAccumulator (rebuilt per run: it holds only per-day MI pair
+/// codes and a few KB of query scratch). One arena serves one worker
+/// thread; runs borrow it sequentially. Every buffer handed out is either
+/// fully overwritten per day (engine scratch) or freshly constructed per
+/// run (accumulator), so reuse cannot leak state between households — the
 /// chunking-invariance proptests pin this.
 class RunArena {
  public:
@@ -162,8 +162,8 @@ class RunArena {
   /// contract is that every slot is rewritten each day.
   SimEngine& engine() { return engine_; }
 
-  /// An accumulator reset for the given geometry: fresh state, buffers
-  /// reused when the geometry matches the previous run's.
+  /// A freshly constructed accumulator for the given geometry; throws
+  /// ConfigError for a bad `mi_levels`.
   EvaluationAccumulator& accumulator(std::size_t intervals,
                                      std::size_t mi_levels, double usage_cap);
 

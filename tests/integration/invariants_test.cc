@@ -164,8 +164,12 @@ TEST(Invariants, LongRunStabilityWithFullHeuristics) {
   // TD error must have come down from its early level (convergence).
   const auto& stats = policy.day_stats();
   double early = 0.0, late = 0.0;
-  for (int d = 0; d < 5; ++d) early += stats[static_cast<std::size_t>(d)].mean_abs_td_error;
-  for (int d = 55; d < 60; ++d) late += stats[static_cast<std::size_t>(d)].mean_abs_td_error;
+  for (int d = 0; d < 5; ++d) {
+    early += stats[static_cast<std::size_t>(d)].mean_abs_td_error;
+  }
+  for (int d = 55; d < 60; ++d) {
+    late += stats[static_cast<std::size_t>(d)].mean_abs_td_error;
+  }
   EXPECT_LT(late, early);
 }
 

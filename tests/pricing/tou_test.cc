@@ -42,7 +42,8 @@ TEST(TouSchedule, ZonesMustTileTheDay) {
                ConfigError);  // gap
   EXPECT_THROW(TouSchedule::from_zones(10, {{0, 5, 1.0}, {4, 10, 2.0}}),
                ConfigError);  // overlap
-  EXPECT_THROW(TouSchedule::from_zones(10, {{0, 5, 1.0}}), ConfigError);  // short
+  EXPECT_THROW(TouSchedule::from_zones(10, {{0, 5, 1.0}}),
+               ConfigError);  // short
   EXPECT_NO_THROW(TouSchedule::from_zones(10, {{0, 5, 1.0}, {5, 10, 2.0}}));
 }
 

@@ -16,6 +16,25 @@ TEST(PearsonCorrelation, PerfectPositive) {
   EXPECT_NEAR(pearson_correlation(x, y), 1.0, 1e-12);
 }
 
+TEST(CorrelationAccumulator, MatchesHandComputedSeries) {
+  // Day 1: x = (1, 2, 3, 4), y = (2, 4, 5, 9). Means 2.5 and 5; deviations
+  // (-1.5, -0.5, 0.5, 1.5) and (-3, -1, 0, 4); sum dx*dy = 11,
+  // sum dx^2 = 5, sum dy^2 = 26, so CC = 11 / sqrt(130) = 0.9647638...
+  // Day 2: x = (0, 1, 0, 1), y = (1, 0, 0, 1): sum dx*dy = 0, CC = 0.
+  // Mean CC over the two days: 5.5 / sqrt(130) = 0.4823819...
+  const std::vector<double> x1{1.0, 2.0, 3.0, 4.0};
+  const std::vector<double> y1{2.0, 4.0, 5.0, 9.0};
+  const std::vector<double> x2{0.0, 1.0, 0.0, 1.0};
+  const std::vector<double> y2{1.0, 0.0, 0.0, 1.0};
+  EXPECT_NEAR(pearson_correlation(x1, y1), 0.9647638, 1e-7);
+  EXPECT_DOUBLE_EQ(pearson_correlation(x2, y2), 0.0);
+  CorrelationAccumulator cc;
+  cc.observe_day(x1, y1);
+  cc.observe_day(x2, y2);
+  EXPECT_EQ(cc.days(), 2u);
+  EXPECT_NEAR(cc.mean_cc(), 0.4823819, 1e-7);
+}
+
 TEST(PearsonCorrelation, PerfectNegative) {
   const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
   const std::vector<double> y{8.0, 6.0, 4.0, 2.0};

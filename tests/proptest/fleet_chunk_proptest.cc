@@ -93,9 +93,10 @@ Domain<FleetCase> fleet_domain() {
     std::vector<FleetCase> candidates;
     if (value.specs.size() > 1) {
       FleetCase half;
-      half.specs.assign(value.specs.begin(),
-                        value.specs.begin() +
-                            static_cast<std::ptrdiff_t>(value.specs.size() / 2));
+      half.specs.assign(
+          value.specs.begin(),
+          value.specs.begin() +
+              static_cast<std::ptrdiff_t>(value.specs.size() / 2));
       candidates.push_back(std::move(half));
       FleetCase drop_last = value;
       drop_last.specs.pop_back();

@@ -132,7 +132,8 @@ std::vector<std::pair<std::string, std::size_t>> section_ends(
 TEST(HouseholdSessionTest, MatchesBatchSimEngineBitwise) {
   const ScenarioSpec spec = ScenarioSpec::parse(kSpec);
   HouseholdSession session(33, kSpec);
-  ASSERT_EQ(session.intervals_per_day(), make_scenario_pricing(spec).intervals());
+  ASSERT_EQ(session.intervals_per_day(),
+            make_scenario_pricing(spec).intervals());
 
   // Batch reference: identical components, SimEngine day loop.
   const TouSchedule prices = make_scenario_pricing(spec);
@@ -231,6 +232,22 @@ TEST(HouseholdSessionTest, RejectsNonCheckpointablePolicy) {
 TEST(HouseholdSessionTest, RejectsInvalidSpec) {
   EXPECT_THROW(HouseholdSession(4, "policy=does-not-exist"), ConfigError);
   EXPECT_THROW(HouseholdSession(5, "nonsense_key=1"), ConfigError);
+}
+
+TEST(HouseholdSessionTest, ServesAndRestoresAnyMiLevels) {
+  // Sessions never build the MI estimator, so `mi` stays unbounded at
+  // parse time: a Hello, or a stored checkpoint's canonical spec, with a
+  // level count the estimator rejects is served and restored as usual.
+  const std::string spec_text = "policy=rlblh;seed=33;mi=17";
+  HouseholdSession session(7, spec_text);
+  std::unique_ptr<TraceSource> source =
+      make_scenario_source(ScenarioSpec::parse(spec_text));
+  feed_day(session, 0, source->next_day());
+  EXPECT_EQ(session.days_completed(), 1u);
+  const std::unique_ptr<HouseholdSession> restored =
+      HouseholdSession::restore(session.save());
+  EXPECT_EQ(restored->spec_text(), session.spec_text());
+  EXPECT_EQ(restored->days_completed(), 1u);
 }
 
 TEST(HouseholdSessionTest, RestoreContinuesBitwise) {

@@ -88,8 +88,25 @@ TEST(Experiment, TrainPhaseRunsThePolicy) {
   EXPECT_EQ(policy.days_completed(), 5u);
 }
 
+TEST(Experiment, BadMiLevelsFailBeforeTheFirstTrainingDay) {
+  // evaluate_policy builds its accumulator before training, so a level
+  // count the MI estimator rejects fails before any day runs.
+  Simulator sim = make_household_simulator(small_household(),
+                                           TouSchedule::srp_plan(), 5.0, 9);
+  RlBlhConfig config;
+  config.decision_interval = 15;
+  config.enable_reuse = false;
+  config.enable_synthetic = false;
+  RlBlhPolicy policy(config);
+  EvaluationConfig eval;
+  eval.train_days = 3;
+  eval.eval_days = 2;
+  eval.mi_levels = 17;
+  EXPECT_THROW(evaluate_policy(sim, policy, eval), ConfigError);
+  EXPECT_EQ(policy.days_completed(), 0u);
+}
+
 TEST(Experiment, AccumulatorResetMatchesFreshConstruction) {
-  // The fleet's worker arenas recycle one accumulator across households;
   // reset() must reproduce fresh-constructed results bitwise, both when
   // the geometry repeats and when it changes between runs.
   Simulator sim = make_household_simulator(small_household(),
@@ -114,11 +131,11 @@ TEST(Experiment, AccumulatorResetMatchesFreshConstruction) {
   EvaluationAccumulator recycled(kIntervalsPerDay, 8,
                                  sim.source().usage_cap());
   observe_all(recycled);
-  // Same geometry: the MI tables are sparsely zeroed, not reallocated.
+  // Same geometry.
   recycled.reset(kIntervalsPerDay, 8, sim.source().usage_cap());
   EXPECT_EQ(recycled.days(), 0u);
   const EvaluationResult same_geometry = observe_all(recycled);
-  // Different geometry: the estimator is rebuilt; a second reset returns.
+  // Different geometry, then back to the first.
   recycled.reset(kIntervalsPerDay, 4, sim.source().usage_cap());
   observe_all(recycled);
   recycled.reset(kIntervalsPerDay, 8, sim.source().usage_cap());

@@ -10,6 +10,8 @@
 
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "pricing/tou.h"
 #include "sim/experiment.h"
 #include "util/error.h"
@@ -133,6 +135,21 @@ TEST(ScenarioBuildTest, RunSpecRejectsMiLevelsBeyondTheEstimatorsCells) {
   const ScenarioSpec spec =
       ScenarioSpec::parse("mi=4294967296;train=1;eval=2");
   EXPECT_THROW(run_spec(spec, make_scenario_pricing(spec)), ConfigError);
+}
+
+TEST(ScenarioBuildTest, RunSpecRejectsMiLevelsBeforeAnyDayRuns) {
+  // 17 levels do not fit the estimator's 8 + 8 code bits. The accumulator
+  // is built before pre-training and training, so the run fails before a
+  // single day is simulated: sim.days stays 0 while observability records.
+  const ScenarioSpec spec = ScenarioSpec::parse("mi=17;train=3;eval=2");
+  obs::registry().reset();
+  obs::set_enabled(true);
+  EXPECT_THROW(run_spec(spec, make_scenario_pricing(spec)), ConfigError);
+  obs::set_enabled(false);
+#if RLBLH_OBS_ENABLED
+  EXPECT_EQ(obs::registry().counter("sim.days").value(), 0);
+#endif
+  obs::registry().reset();
 }
 
 TEST(ScenarioBuildTest, MdpPretrainIsDeterministic) {

@@ -21,6 +21,8 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "sim/experiment.h"
+#include "sim/fleet.h"
+#include "sim/scenario.h"
 
 namespace rlblh {
 namespace {
@@ -247,12 +249,64 @@ TEST(SweepDeterminismTest, ReplayTimersRecordWhileResultsStayBitwise) {
   obs::Tracer::instance().reset();
 }
 
+// Six households over three specs, one training and three evaluation days
+// each, run as a fleet (chunked, arena-recycled accumulators).
+constexpr std::size_t kEvalHouseholds = 6;
+constexpr std::size_t kEvalDays = 3;
+
+FleetResult eval_fleet(std::size_t threads) {
+  const std::vector<std::string> texts = {
+      "policy=lowpass;train=1;eval=3",
+      "policy=rlblh;policy.reuse=0;policy.syn=0;train=1;eval=3",
+      "policy=none;household=ev_owner;train=1;eval=3"};
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t i = 0; i < kEvalHouseholds; ++i) {
+    specs.push_back(ScenarioSpec::parse(texts[i % texts.size()]));
+  }
+  FleetOptions options;
+  options.threads = threads;
+  options.chunk = 2;
+  return FleetSimulator(std::move(specs), options).run(17);
+}
+
+TEST(SweepDeterminismTest, EvalTimersRecordWhileResultsStayBitwise) {
+  // EvaluationAccumulator counts eval.days and times observe_day and
+  // result() only while observability records; it reads the day results
+  // and never touches an Rng, so the fleet stays bitwise identical with
+  // observability on and off.
+  obs::set_enabled(false);
+  const FleetResult off = eval_fleet(1);
+
+  obs::registry().reset();
+  obs::Tracer::instance().reset();
+  obs::set_enabled(true);
+  const FleetResult on = eval_fleet(2);
+  obs::set_enabled(false);
+
+  ASSERT_EQ(off.households.size(), kEvalHouseholds);
+  ASSERT_EQ(on.households.size(), off.households.size());
+  for (std::size_t i = 0; i < off.households.size(); ++i) {
+    SCOPED_TRACE("household " + std::to_string(i));
+    expect_bitwise_equal(off.households[i], on.households[i]);
+  }
+
+#if RLBLH_OBS_ENABLED
+  EXPECT_EQ(obs::registry().counter("eval.days").value(),
+            static_cast<long long>(kEvalHouseholds * kEvalDays));
+  EXPECT_GT(obs::registry().counter("eval.observe_ns").value(), 0);
+  EXPECT_GT(obs::registry().counter("eval.result_ns").value(), 0);
+#endif
+  obs::registry().reset();
+  obs::Tracer::instance().reset();
+}
+
 TEST(SweepDeterminismTest, SerialRunnerRunsInline) {
   SweepRunner runner(SweepOptions{1});
   EXPECT_EQ(runner.threads(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
   const auto ids = runner.run(
-      4, [caller](std::size_t) { return std::this_thread::get_id() == caller; });
+      4,
+      [caller](std::size_t) { return std::this_thread::get_id() == caller; });
   for (const bool on_caller : ids) EXPECT_TRUE(on_caller);
 }
 

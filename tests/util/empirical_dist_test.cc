@@ -59,7 +59,8 @@ TEST(EmpiricalDistribution, SampleDistributionMatchesSource) {
   RunningStats source;
   for (int i = 0; i < 5000; ++i) {
     // Bimodal source: half near 0.2, half near 0.8.
-    const double v = (i % 2 == 0) ? rng.normal(0.2, 0.03) : rng.normal(0.8, 0.03);
+    const double v =
+        (i % 2 == 0) ? rng.normal(0.2, 0.03) : rng.normal(0.8, 0.03);
     source.add(v);
     d.add(v, rng);
   }
