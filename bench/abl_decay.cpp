@@ -37,9 +37,8 @@ double run_schedule(const Variant& v, unsigned seed, int train_days,
   spec.policy_params.set("alpha_floor", v.alpha_floor);
   spec.policy_params.set("epsilon_floor", v.epsilon_floor);
   Scenario scenario = build_scenario(spec);
-  auto& policy = *scenario.policy_as<RlBlhPolicy>();
-  scenario.simulator.run_days(policy, static_cast<std::size_t>(train_days));
-  return greedy_sr(scenario.simulator, policy, eval_days);
+  scenario.run_days(static_cast<std::size_t>(train_days));
+  return greedy_sr(scenario, eval_days);
 }
 
 }  // namespace

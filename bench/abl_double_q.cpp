@@ -26,14 +26,13 @@ Outcome run_learner(bool double_q, unsigned seed, int phase1, int eval1,
   ScenarioSpec spec = paper_spec("rlblh", 15, 5.0, seed, 1400 + seed);
   spec.policy_params.set("double_q", double_q);
   Scenario scenario = build_scenario(spec);
-  auto& policy = *scenario.policy_as<RlBlhPolicy>();
-  Simulator& sim = scenario.simulator;
   Outcome out;
-  sim.run_days(policy, static_cast<std::size_t>(phase1));
-  out.sr20 = greedy_sr(sim, policy, eval1);
-  sim.run_days(policy, static_cast<std::size_t>(phase2));
-  out.sr60 = greedy_sr(sim, policy, eval2);
-  out.err60 = policy.day_stats().back().mean_abs_td_error;
+  scenario.run_days(static_cast<std::size_t>(phase1));
+  out.sr20 = greedy_sr(scenario, eval1);
+  scenario.run_days(static_cast<std::size_t>(phase2));
+  out.sr60 = greedy_sr(scenario, eval2);
+  out.err60 =
+      scenario.policy_as<RlBlhPolicy>()->day_stats().back().mean_abs_td_error;
   return out;
 }
 

@@ -35,9 +35,8 @@ Row run_household(const std::string& home, unsigned seed, int rl_train,
     ScenarioSpec spec = paper_spec("rlblh", 15, 5.0, seed, 1000 + seed);
     spec.household = home;
     Scenario s = build_scenario(spec);
-    auto& policy = *s.policy_as<RlBlhPolicy>();
-    s.simulator.run_days(policy, static_cast<std::size_t>(rl_train));
-    row.rl_sr = greedy_sr(s.simulator, policy, rl_eval);
+    s.run_days(static_cast<std::size_t>(rl_train));
+    row.rl_sr = greedy_sr(s, rl_eval);
   }
   {
     ScenarioSpec spec = paper_spec("mdp", 15, 5.0, seed, 1200 + seed);
@@ -45,17 +44,16 @@ Row run_household(const std::string& home, unsigned seed, int rl_train,
     spec.policy_params.set("levels", 128);
     Scenario s = build_scenario(spec);
     auto& policy = *s.policy_as<MdpBlhPolicy>();
-    const TouSchedule& prices = s.simulator.prices();
     auto trainer = make_trace_source(home, {}, 1100 + seed);
     for (int d = 0; d < dp_train; ++d) {
-      policy.observe_training_day(trainer->next_day(), prices);
+      policy.observe_training_day(trainer->next_day(), s.prices);
     }
     policy.solve();
     SavingRatioAccumulator sr;
-    s.simulator.run_days(policy, static_cast<std::size_t>(dp_eval),
-                         [&](std::size_t, const DayResult& day) {
-                           sr.observe_day(day.usage, day.readings, prices);
-                         });
+    s.run_days(static_cast<std::size_t>(dp_eval),
+               [&](std::size_t, const DayResult& day) {
+                 sr.observe_day(day.usage, day.readings, s.prices);
+               });
     row.dp_sr = sr.saving_ratio();
   }
   return row;

@@ -27,12 +27,11 @@ void bench_body(BenchContext& ctx) {
 
   Scenario scenario =
       build_scenario(paper_spec("rlblh", 15, 5.0, /*seed=*/7, /*hseed=*/900));
-  auto& policy = *scenario.policy_as<RlBlhPolicy>();
-  Simulator& sim = scenario.simulator;
-  const TouSchedule& prices = sim.prices();
+  const RlBlhPolicy& policy = *scenario.policy_as<RlBlhPolicy>();
+  const TouSchedule& prices = scenario.prices;
   const RlBlhConfig& config = policy.config();
   const int kWarmupDays = ctx.days(30, 5);
-  sim.run_days(policy, static_cast<std::size_t>(kWarmupDays));
+  scenario.run_days(static_cast<std::size_t>(kWarmupDays));
 
   // Re-run days, recording (features, action, reward, next max features)
   // transitions by replaying the recorded day through the policy's own
@@ -48,7 +47,7 @@ void bench_body(BenchContext& ctx) {
 
   const int kDays = ctx.days(40, 5);
   for (int d = 0; d < kDays; ++d) {
-    const DayResult& day = sim.run_day(policy);
+    const DayResult& day = scenario.run_day();
     const std::size_t n_d = config.decision_interval;
     for (std::size_t k = 0; k < config.decisions_per_day(); ++k) {
       const double level = day.battery_levels[k * n_d];

@@ -30,16 +30,10 @@ void bench_body(BenchContext& ctx) {
   const std::vector<EvaluationResult> cells =
       ctx.sweep().run(3, [&](std::size_t cell) {
         const char* const policies[] = {"rlblh", "random_pulse", "stepping"};
-        Scenario s = build_scenario(
-            paper_spec(policies[cell], 15, 5.0, /*seed=*/7, /*hseed=*/1300));
-        if (cell == 0) {
-          s.simulator.run_days(*s.policy,
-                               static_cast<std::size_t>(kTrainDays));
-        } else if (cell == 2) {
-          s.simulator.run_days(*s.policy,
-                               static_cast<std::size_t>(kSettleDays));
-        }
-        return measure_full(s.simulator, *s.policy, kEvalDays);
+        const int train_days[] = {kTrainDays, 0, kSettleDays};
+        return train_and_measure(
+            paper_spec(policies[cell], 15, 5.0, /*seed=*/7, /*hseed=*/1300),
+            train_days[cell], kEvalDays);
       });
   ctx.count_cells(cells.size());
   ctx.count_days(static_cast<std::size_t>(kTrainDays + kSettleDays +

@@ -17,46 +17,33 @@
 
 namespace rlblh::bench {
 
-/// Metrics of one evaluation window.
-struct Metrics {
-  double sr = 0.0;
-  double cc = 0.0;
-  double mi = 0.0;
-  double daily_savings_cents = 0.0;
-};
-
-/// Evaluates a policy over `days` with learning and exploration untouched
-/// (matching the paper's measure-while-running protocol).
-inline EvaluationResult measure_full(Simulator& sim, BlhPolicy& policy,
-                                     int days, std::size_t mi_levels = 8) {
-  EvaluationConfig config;
-  config.train_days = 0;
-  config.eval_days = static_cast<std::size_t>(days);
-  config.mi_levels = mi_levels;
-  return evaluate_policy(sim, policy, config);
+/// Runs the spec's household through run_scenario: `train_days` of online
+/// learning, then `eval_days` measured with learning and exploration
+/// untouched (the paper's measure-while-running protocol).
+inline EvaluationResult train_and_measure(ScenarioSpec spec, int train_days,
+                                          int eval_days) {
+  spec.train_days = static_cast<std::size_t>(train_days);
+  spec.eval_days = static_cast<std::size_t>(eval_days);
+  Scenario scenario = build_scenario(spec);
+  return run_scenario(scenario);
 }
 
-/// Same, projected to the fields the figure tables print.
-inline Metrics measure(Simulator& sim, BlhPolicy& policy, int days,
-                       std::size_t mi_levels = 8) {
-  const EvaluationResult r = measure_full(sim, policy, days, mi_levels);
-  return {r.saving_ratio, r.mean_cc, r.normalized_mi,
-          r.mean_daily_savings_cents};
-}
-
-/// Greedy (exploration- and learning-frozen) saving ratio; used where the
-/// paper reports the quality of the *learned* policy. Restores the flags
-/// the caller had set rather than force-enabling them.
-inline double greedy_sr(Simulator& sim, RlBlhPolicy& policy, int days) {
+/// Greedy (exploration- and learning-frozen) saving ratio of an RL-BLH
+/// scenario's next `days` days; used where the paper reports the quality
+/// of the *learned* policy. Restores the flags the caller had set rather
+/// than force-enabling them.
+inline double greedy_sr(Scenario& scenario, int days) {
+  RlBlhPolicy& policy = *scenario.policy_as<RlBlhPolicy>();
   const bool learning_before = policy.learning_enabled();
   const bool exploration_before = policy.exploration_enabled();
   policy.set_learning_enabled(false);
   policy.set_exploration_enabled(false);
   SavingRatioAccumulator sr;
-  sim.run_days(policy, static_cast<std::size_t>(days),
-               [&](std::size_t, const DayResult& day) {
-                 sr.observe_day(day.usage, day.readings, sim.prices());
-               });
+  scenario.run_days(static_cast<std::size_t>(days),
+                    [&](std::size_t, const DayResult& day) {
+                      sr.observe_day(day.usage, day.readings,
+                                     scenario.prices);
+                    });
   policy.set_learning_enabled(learning_before);
   policy.set_exploration_enabled(exploration_before);
   return sr.saving_ratio();

@@ -35,17 +35,15 @@ void bench_body(BenchContext& ctx) {
         if (cell == 0) {
           Scenario s = build_scenario(
               paper_spec("rlblh", 10, capacity, /*seed=*/7, /*hseed=*/101));
-          auto& rl = *s.policy_as<RlBlhPolicy>();
-          s.simulator.run_days(rl, static_cast<std::size_t>(kRlTrainDays));
-          rl.set_exploration_enabled(false);
-          // Copies out of the simulator's scratch.
-          return s.simulator.run_day(rl);
+          s.run_days(static_cast<std::size_t>(kRlTrainDays));
+          s.policy_as<RlBlhPolicy>()->set_exploration_enabled(false);
+          // Copies out of the engine's scratch.
+          return s.run_day();
         }
         Scenario s = build_scenario(
             paper_spec("lowpass", 10, capacity, /*seed=*/7, /*hseed=*/101));
-        s.simulator.run_days(*s.policy,
-                             static_cast<std::size_t>(kLpSettleDays));
-        return s.simulator.run_day(*s.policy);
+        s.run_days(static_cast<std::size_t>(kLpSettleDays));
+        return s.run_day();
       });
   const DayResult& rl_day = days[0];
   const DayResult& lp_day = days[1];

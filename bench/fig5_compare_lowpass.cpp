@@ -45,17 +45,13 @@ void bench_body(BenchContext& ctx) {
         const double capacity = row.capacity;
         if (cell % 2 == 0) {
           // RL-BLH, trained online with the paper's heuristics.
-          Scenario s = build_scenario(
-              paper_spec("rlblh", 10, capacity, /*seed=*/7, /*hseed=*/200));
-          auto& rl = *s.policy_as<RlBlhPolicy>();
-          s.simulator.run_days(rl, static_cast<std::size_t>(kTrainDays));
-          return measure_full(s.simulator, rl, kEvalDays);
+          return train_and_measure(
+              paper_spec("rlblh", 10, capacity, /*seed=*/7, /*hseed=*/200),
+              kTrainDays, kEvalDays);
         }
-        Scenario s = build_scenario(
-            paper_spec("lowpass", 10, capacity, /*seed=*/7, /*hseed=*/200));
-        s.simulator.run_days(*s.policy,
-                             static_cast<std::size_t>(kLpSettleDays));
-        return measure_full(s.simulator, *s.policy, kEvalDays);
+        return train_and_measure(
+            paper_spec("lowpass", 10, capacity, /*seed=*/7, /*hseed=*/200),
+            kLpSettleDays, kEvalDays);
       });
   ctx.count_cells(cells.size());
   ctx.count_days(paper.size() *

@@ -26,8 +26,8 @@ std::vector<double> error_series(bool heuristics, int days, unsigned seed) {
   spec.policy_params.set("reuse", heuristics);
   spec.policy_params.set("syn", heuristics);
   Scenario scenario = build_scenario(spec);
-  auto& policy = *scenario.policy_as<RlBlhPolicy>();
-  scenario.simulator.run_days(policy, static_cast<std::size_t>(days));
+  scenario.run_days(static_cast<std::size_t>(days));
+  const RlBlhPolicy& policy = *scenario.policy_as<RlBlhPolicy>();
   std::vector<double> series;
   series.reserve(policy.day_stats().size());
   for (const auto& day : policy.day_stats()) {

@@ -54,12 +54,11 @@ Outcome run_variant(const Variant& variant, int train_days, int eval_days,
   spec.policy_params.set("reuse", variant.reuse);
   spec.policy_params.set("syn", variant.synthetic);
   Scenario scenario = build_scenario(spec);
-  auto& policy = *scenario.policy_as<RlBlhPolicy>();
-  scenario.simulator.run_days(policy, static_cast<std::size_t>(train_days));
+  scenario.run_days(static_cast<std::size_t>(train_days));
   Outcome out;
-  out.sr = greedy_sr(scenario.simulator, policy, eval_days);
+  out.sr = greedy_sr(scenario, eval_days);
   std::vector<double> raw;
-  for (const auto& day : policy.day_stats()) {
+  for (const auto& day : scenario.policy_as<RlBlhPolicy>()->day_stats()) {
     raw.push_back(day.mean_abs_td_error);
   }
   out.error = normalize(raw);

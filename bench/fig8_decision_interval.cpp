@@ -34,11 +34,9 @@ void bench_body(BenchContext& ctx) {
 
   const std::vector<EvaluationResult> cells = ctx.sweep().run_grid(
       paper, seeds, [&](const PaperRow& row, unsigned seed) {
-        Scenario s =
-            build_scenario(paper_spec("rlblh", row.n_d, 5.0, seed, 500 + seed));
-        auto& policy = *s.policy_as<RlBlhPolicy>();
-        s.simulator.run_days(policy, static_cast<std::size_t>(kTrainDays));
-        return measure_full(s.simulator, policy, kEvalDays);
+        return train_and_measure(
+            paper_spec("rlblh", row.n_d, 5.0, seed, 500 + seed), kTrainDays,
+            kEvalDays);
       });
   ctx.count_cells(cells.size());
   ctx.count_days(cells.size() *

@@ -35,11 +35,9 @@ void bench_body(BenchContext& ctx) {
   // One sweep cell per (capacity, seed): train then measure, in isolation.
   const std::vector<EvaluationResult> cells = ctx.sweep().run_grid(
       paper, seeds, [&](const PaperRow& row, unsigned seed) {
-        Scenario s = build_scenario(
-            paper_spec("rlblh", 15, row.capacity, seed, 600 + seed));
-        auto& policy = *s.policy_as<RlBlhPolicy>();
-        s.simulator.run_days(policy, static_cast<std::size_t>(kTrainDays));
-        return measure_full(s.simulator, policy, kEvalDays);
+        return train_and_measure(
+            paper_spec("rlblh", 15, row.capacity, seed, 600 + seed),
+            kTrainDays, kEvalDays);
       });
   ctx.count_cells(cells.size());
   ctx.count_days(cells.size() *

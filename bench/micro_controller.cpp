@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "baselines/policy_registry.h"
+#include "battery/battery.h"
 #include "bench_main.h"
 #include "core/features.h"
 #include "core/qfunction.h"
@@ -11,7 +12,7 @@
 #include "meter/household.h"
 #include "meter/household_registry.h"
 #include "pricing/pricing_registry.h"
-#include "sim/experiment.h"
+#include "sim/engine.h"
 
 namespace {
 
@@ -103,8 +104,11 @@ void BM_TrainVirtualDay(benchmark::State& state) {
   // One replayed training day (the unit of the REUSE/SYN heuristics).
   RlBlhPolicy policy(bench_config());
   const TouSchedule prices = make_pricing("srp", {});
-  Simulator sim = make_household_simulator("default", {}, prices, 5.0, 6);
-  sim.run_days(policy, 1);  // establishes the price schedule
+  const auto source = make_trace_source("default", {}, 6);
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
+  // One real day establishes the price schedule.
+  engine.run_day(*source, prices, battery, policy);
   HouseholdModel household(make_household_config("default", {}), 7);
   const DayTrace day = household.generate_day();
   for (auto _ : state) {
@@ -116,10 +120,13 @@ BENCHMARK(BM_TrainVirtualDay);
 void BM_FullSimulatedDay(benchmark::State& state) {
   // A whole simulated day end to end (trace generation + control + battery).
   RlBlhPolicy policy(bench_config());
-  Simulator sim =
-      make_household_simulator("default", {}, make_pricing("srp", {}), 5.0, 8);
+  const TouSchedule prices = make_pricing("srp", {});
+  const auto source = make_trace_source("default", {}, 8);
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run_day(policy).savings_cents);
+    benchmark::DoNotOptimize(
+        engine.run_day(*source, prices, battery, policy).savings_cents);
   }
 }
 BENCHMARK(BM_FullSimulatedDay);

@@ -24,9 +24,11 @@
 #include "baselines/lowpass.h"
 #include "baselines/random_pulse.h"
 #include "baselines/stepping.h"
+#include "battery/battery.h"
 #include "common.h"
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
+#include "sim/engine.h"
 #include "util/table.h"
 
 #include <iostream>
@@ -90,17 +92,20 @@ void bench_body(BenchContext& ctx) {
   TablePrinter table({"policy", "seconds", "days/sec", "savings cents"});
   for (const Scenario& scenario : build_scenarios()) {
     std::unique_ptr<BlhPolicy> policy = scenario.make_policy();
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(),
-                                             scenario.battery_kwh, 9001);
-    sim.run_days(*policy, static_cast<std::size_t>(kWarmupDays));
+    HouseholdTraceSource source(HouseholdConfig{}, 9001);
+    const TouSchedule prices = TouSchedule::srp_plan();
+    Battery battery(scenario.battery_kwh, scenario.battery_kwh / 2.0);
+    SimEngine engine;
+    engine.run_days(source, prices, battery, *policy,
+                    static_cast<std::size_t>(kWarmupDays));
 
     double savings_cents = 0.0;
     const auto start = std::chrono::steady_clock::now();
-    sim.run_days(*policy, static_cast<std::size_t>(kTimedDays),
-                 [&](std::size_t, const DayResult& day) {
-                   savings_cents += day.savings_cents;
-                 });
+    engine.run_days(source, prices, battery, *policy,
+                    static_cast<std::size_t>(kTimedDays),
+                    [&](std::size_t, const DayResult& day) {
+                      savings_cents += day.savings_cents;
+                    });
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

@@ -116,13 +116,12 @@ void bench_body(BenchContext& ctx) {
   rl_spec.policy_params.set("reuse", false);
   rl_spec.policy_params.set("syn", false);
   Scenario rl_scenario = build_scenario(rl_spec);
-  auto& rl = *rl_scenario.policy_as<RlBlhPolicy>();
-  Simulator& sim = rl_scenario.simulator;
+  const RlBlhPolicy& rl = *rl_scenario.policy_as<RlBlhPolicy>();
   const int kWarmupDays = 3;
-  sim.run_days(rl, kWarmupDays);
+  rl_scenario.run_days(kWarmupDays);
   const auto start = std::chrono::steady_clock::now();
   const int kDays = ctx.days(50, 5);
-  sim.run_days(rl, static_cast<std::size_t>(kDays));
+  rl_scenario.run_days(static_cast<std::size_t>(kDays));
   const double us_per_day = 1e6 * seconds_since(start) / kDays;
   ctx.count_cells(1);
   ctx.count_days(static_cast<std::size_t>(kWarmupDays + kDays));

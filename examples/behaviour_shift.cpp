@@ -9,7 +9,6 @@
 // it dips at the shift and recovers as the weights re-adapt.
 #include <cstdio>
 
-#include "core/rlblh_policy.h"
 #include "meter/household_registry.h"
 #include "privacy/metrics.h"
 #include "sim/scenario.h"
@@ -27,9 +26,6 @@ int main() {
   spec.seed = 29;
   spec.hseed = 31;
   Scenario scenario = build_scenario(spec);
-  auto& policy = *scenario.policy_as<RlBlhPolicy>();
-  Simulator& sim = scenario.simulator;
-  const TouSchedule& prices = sim.prices();
 
   HouseholdConfig night_shift = make_household_config("default", {});
   night_shift.wake_mean = 780.0;    // wakes ~13:00
@@ -37,7 +33,8 @@ int main() {
   night_shift.back_mean = 1380.0;   // (returns after midnight; modeled as
   night_shift.sleep_mean = 1439.0;  //  active late and asleep into the day)
 
-  auto& household = static_cast<HouseholdTraceSource&>(sim.source()).model();
+  auto& household =
+      static_cast<HouseholdTraceSource&>(*scenario.source).model();
 
   std::printf("Weekly saving ratio around a behaviour shift "
               "(night shift starts at day 43):\n\n");
@@ -48,8 +45,8 @@ int main() {
     if (week == 6) household.set_config(night_shift);
     SavingRatioAccumulator sr;
     for (int d = 0; d < 7; ++d) {
-      const DayResult day = sim.run_day(policy);
-      sr.observe_day(day.usage, day.readings, prices);
+      const DayResult& day = scenario.run_day();
+      sr.observe_day(day.usage, day.readings, scenario.prices);
     }
     std::printf("  %3zu-%-4zu   %-12s %6.1f %%\n", week * 7 + 1,
                 week * 7 + 7, week < 6 ? "day-worker" : "night-shift",

@@ -61,9 +61,9 @@ int main() {
   rl_spec.seed = 3;
   rl_spec.hseed = 11;
   Scenario warmup = build_scenario(rl_spec);
-  const TouSchedule& prices = warmup.simulator.prices();
+  const TouSchedule& prices = warmup.prices;
   auto& rlblh = *warmup.policy_as<RlBlhPolicy>();
-  warmup.simulator.run_days(rlblh, 14);
+  warmup.run_days(14);
 
   SpecParams lp_params;
   lp_params.set("battery", capacity);

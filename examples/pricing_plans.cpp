@@ -29,7 +29,7 @@ void run_plan(const std::string& label, const std::string& plan,
   spec.pricing_params = plan_params;
 
   Scenario scenario = build_scenario(spec);
-  const TouSchedule& prices = scenario.simulator.prices();
+  const TouSchedule& prices = scenario.prices;
   const EvaluationResult r = run_scenario(scenario);
 
   std::printf("  %-12s rates %5.2f..%5.2f c/kWh | SR %5.1f %% | "

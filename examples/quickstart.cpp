@@ -41,7 +41,7 @@ int main() {
   std::printf("  battery violations  : %zu\n\n", rl.battery_violations);
 
   // 3. One concrete day, to see the rectangular pulses.
-  const DayResult day = scenario.simulator.run_day(policy);
+  const DayResult day = scenario.run_day();
   std::printf("One day of meter readings (kWh per minute, every 2 hours):\n");
   for (std::size_t n = 0; n < day.readings.intervals(); n += 120) {
     std::printf("  minute %4zu: usage %.4f -> meter %.4f (battery %.2f)\n", n,

@@ -46,7 +46,6 @@
 #include "sim/fleet.h"
 #include "sim/scenario.h"
 #include "util/csv.h"
-#include "util/error.h"
 
 namespace {
 
@@ -217,17 +216,15 @@ int run_fleet(const Options& options, const ScenarioSpec& spec) {
   return 0;
 }
 
-/// One household of the resolved spec through the legacy Simulator path:
-/// optional pre-trained weights, training, evaluation, trace/weight export.
+/// One household of the resolved spec through run_scenario: optional
+/// pre-trained weights, the spec's train/eval schedule, trace/weight export.
 int run_single(const Options& options, const ScenarioSpec& spec) {
   Scenario scenario = build_scenario(spec);
-  Simulator& sim = scenario.simulator;
-  const TouSchedule& prices = sim.prices();
-  BlhPolicy& policy = *scenario.policy;
+  const TouSchedule& prices = scenario.prices;
 
   if (!options.trace_in.empty()) {
     std::printf("replaying %zu day(s) from %s\n",
-                dynamic_cast<CsvTraceSource&>(sim.source()).day_count(),
+                dynamic_cast<CsvTraceSource&>(*scenario.source).day_count(),
                 options.trace_in.c_str());
   }
   if (!options.load_weights.empty()) {
@@ -240,44 +237,31 @@ int run_single(const Options& options, const ScenarioSpec& spec) {
     std::printf("loaded weights from %s\n", options.load_weights.c_str());
   }
   std::printf("policy %s | plan %s | battery %.1f kWh | n_D %zu\n",
-              std::string(policy.name()).c_str(), spec.pricing.c_str(),
-              spec.battery_kwh, spec.nd);
+              std::string(scenario.policy->name()).c_str(),
+              spec.pricing.c_str(), spec.battery_kwh, spec.nd);
 
   if (options.check_invariants) {
     // Pulse-shaped policies get the full Section II/III-B suite; the
     // non-pulse baselines (and passthrough) get the bound and accounting
-    // checks only. The simulator then fails fast on the first bad day.
+    // checks only. The engine then fails fast on the first bad day.
     const bool pulse_shaped = pulse_shaped_policy(spec.policy);
     InvariantCheckConfig check;
     check.battery_capacity = spec.battery_kwh;
     check.usage_cap = pulse_shaped ? kDefaultUsageCap : 0.0;
     check.decision_interval = pulse_shaped ? spec.nd : 0;
     check.expect_feasible = pulse_shaped;
-    sim.enable_invariant_checks(check);
+    scenario.arena.engine().enable_invariant_checks(check);
     std::printf("invariant checks: on (%s profile)\n",
                 pulse_shaped ? "pulse" : "bounds-only");
   }
 
-  // Built first, so a bad `mi` fails before pre-training and training.
-  RLBLH_REQUIRE(spec.eval_days >= 1,
-                "simulate_cli: need at least one evaluation day");
-  EvaluationAccumulator accumulator(sim.source().intervals(), spec.mi_levels,
-                                    sim.source().usage_cap());
-  pretrain_if_needed(spec, prices, policy);
+  const EvaluationResult r = [&] {
+    RLBLH_OBS_SPAN("cli.run");
+    return run_scenario(scenario);
+  }();
   if (spec.train_days > 0) {
-    RLBLH_OBS_SPAN("cli.train");
-    sim.run_days(policy, spec.train_days);
     std::printf("trained %zu day(s)\n", spec.train_days);
   }
-
-  const EvaluationResult r = [&] {
-    RLBLH_OBS_SPAN("cli.evaluate");
-    sim.run_days(policy, spec.eval_days,
-                 [&](std::size_t, const DayResult& day) {
-                   accumulator.observe_day(day, prices);
-                 });
-    return accumulator.result();
-  }();
   std::printf("over %zu evaluation day(s):\n", spec.eval_days);
   std::printf("  saving ratio : %6.2f %%\n", 100.0 * r.saving_ratio);
   std::printf("  daily savings: %6.2f cents (bill %.1f of %.1f)\n",
@@ -288,7 +272,7 @@ int run_single(const Options& options, const ScenarioSpec& spec) {
   std::printf("  violations   : %zu\n", r.battery_violations);
 
   if (!options.trace_out.empty()) {
-    const DayResult day = sim.run_day(policy);
+    const DayResult& day = scenario.run_day();
     CsvTable table;
     table.header = {"n", "rate", "usage_kwh", "reading_kwh", "battery_kwh"};
     for (std::size_t n = 0; n < day.usage.intervals(); ++n) {

@@ -19,7 +19,12 @@ namespace fs = std::filesystem;
 namespace {
 
 std::string file_name(std::uint64_t id) {
-  return "h" + std::to_string(id) + ".ckpt";
+  // Built with +=: GCC 12 reports a false -Wrestrict on the inlined
+  // operator+ chain.
+  std::string name = "h";
+  name += std::to_string(id);
+  name += ".ckpt";
+  return name;
 }
 
 /// DataError for a failed system call on `path`, with errno's text.

@@ -1,5 +1,5 @@
-// Record of one simulated day (split out of simulator.h so the invariant
-// checker can consume a day without depending on the Simulator itself).
+// Record of one simulated day (its own header so the invariant checker
+// can consume a day without depending on the engine that produced it).
 #pragma once
 
 #include <cstddef>

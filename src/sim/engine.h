@@ -7,8 +7,8 @@
 // the same whether the day comes from a simulator or a live meter, so the
 // engine has two entries over one private, resumable block loop:
 //
-//   pull  run_day / run_days draw whole days from a TraceSource — the
-//         simulator, the fleet and every bench;
+//   pull  run_day / run_days draw whole days from a TraceSource — a
+//         Scenario, the fleet and every bench;
 //   push  begin_day / push_block / finish_day take usage as it arrives —
 //         the serving daemon, whose readings come in frames over a socket.
 //
@@ -19,8 +19,8 @@
 // The engine owns the per-day loop state only: the reused scratch
 // DayResult, the optional invariant checker and the obs counters. It
 // borrows the household pieces (trace source, price schedule, battery,
-// policy) per day, so Simulator, FleetSimulator and the daemon's sessions
-// share it without re-implementing the loop.
+// policy) per day, so Scenario, the fleet's households and the daemon's
+// sessions share it without re-implementing the loop.
 #pragma once
 
 #include <cstddef>

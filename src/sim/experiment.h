@@ -1,35 +1,21 @@
-// Train/evaluate experiment harness used by the figure benchmarks.
+// The paper's evaluation metrics over a window of simulated days.
 //
 // Every evaluation in the paper follows the same shape: let the policy run
 // (and learn) for a training phase, then measure SR / CC / MI over an
-// evaluation window. evaluate_policy packages that loop; the metric side
-// lives in EvaluationAccumulator so that any day-loop driver — the single
-// household path here, FleetSimulator's per-household cells, or a bench's
-// custom loop — folds days into identical statistics.
+// evaluation window. The schedule lives in sim/scenario (run_scenario and
+// run_blueprint); the metric side lives here in EvaluationAccumulator, so
+// every driver folds days into identical statistics.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "core/policy.h"
-#include "core/registry.h"
-#include "meter/household.h"
+#include "pricing/tou.h"
 #include "privacy/correlation.h"
 #include "privacy/metrics.h"
 #include "privacy/mutual_information.h"
 #include "sim/day_result.h"
-#include "sim/simulator.h"
 
 namespace rlblh {
-
-/// Phase lengths and metric settings for one evaluation.
-struct EvaluationConfig {
-  std::size_t train_days = 60;  ///< days run before measurement starts
-  std::size_t eval_days = 120;  ///< days over which metrics are averaged
-  std::size_t mi_levels = 8;    ///< MI quantization levels (2..16)
-};
 
 /// Aggregated metrics over the evaluation window.
 struct EvaluationResult {
@@ -68,11 +54,6 @@ class EvaluationAccumulator {
   /// observability records, adds the call's time to `eval.result_ns`.
   EvaluationResult result() const;
 
-  /// Returns the accumulator to a freshly constructed state for the given
-  /// geometry. The MI estimator holds only its per-day pair codes and a few
-  /// KB of query scratch, so the accumulator is simply rebuilt.
-  void reset(std::size_t intervals, std::size_t mi_levels, double usage_cap);
-
  private:
   SavingRatioAccumulator sr_;
   CorrelationAccumulator cc_;
@@ -82,26 +63,5 @@ class EvaluationAccumulator {
   std::size_t battery_violations_ = 0;
   std::size_t days_ = 0;
 };
-
-/// Runs `config.train_days` days with the policy (learning as it goes), then
-/// `config.eval_days` days during which SR, CC and MI are accumulated.
-EvaluationResult evaluate_policy(Simulator& simulator, BlhPolicy& policy,
-                                 const EvaluationConfig& config);
-
-/// Convenience factory: a Simulator over a synthetic household with the
-/// given price schedule and battery capacity. The battery starts at half
-/// charge.
-Simulator make_household_simulator(const HouseholdConfig& household,
-                                   TouSchedule prices,
-                                   double battery_capacity_kwh,
-                                   std::uint64_t seed);
-
-/// Same, but resolving the household through the household registry (name
-/// plus its dotted parameter slice) instead of an explicit config.
-Simulator make_household_simulator(const std::string& household,
-                                   const SpecParams& params,
-                                   TouSchedule prices,
-                                   double battery_capacity_kwh,
-                                   std::uint64_t seed);
 
 }  // namespace rlblh

@@ -93,7 +93,7 @@ class FleetSimulator {
   /// The spec household `index` actually runs under `fleet_seed`: the given
   /// spec with its policy seed and household seed replaced by the derived
   /// per-household streams. Exposed so tests can reproduce any single
-  /// household through the plain Simulator path.
+  /// household through build_scenario + run_scenario.
   static ScenarioSpec resolved_spec(ScenarioSpec spec,
                                     std::uint64_t fleet_seed,
                                     std::size_t index);

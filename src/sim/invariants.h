@@ -8,8 +8,9 @@
 // magnitudes are scheduled. The checker verifies all of them per measurement
 // interval over a completed day. It is used three ways:
 //   * property suites run randomized configs through it (tests/proptest),
-//   * Simulator::run_day enforces it when enable_invariant_checks() was
-//     called (a debug/config switch; off by default, zero cost when off),
+//   * SimEngine enforces it after every day when enable_invariant_checks()
+//     was called (a debug/config switch; off by default, zero cost when
+//     off),
 //   * examples/simulate_cli --check-invariants turns it on end to end.
 #pragma once
 

@@ -6,6 +6,7 @@
 #include "baselines/mdp.h"
 #include "baselines/policy_registry.h"
 #include "meter/household_registry.h"
+#include "obs/obs.h"
 #include "pricing/pricing_registry.h"
 #include "sim/engine.h"
 #include "util/error.h"
@@ -32,6 +33,18 @@ SpecParams policy_bag(const ScenarioSpec& spec) {
   return bag;
 }
 
+/// The household's policy from its blueprint: `policy_seed` goes into the
+/// bag unless the spec pinned `policy.seed`, whose dotted override wins as
+/// it does in make_scenario_policy.
+std::unique_ptr<BlhPolicy> make_blueprint_policy(const ScenarioSpec& spec,
+                                                 const ScenarioBlueprint& bp,
+                                                 std::uint64_t policy_seed) {
+  if (bp.policy_seed_pinned) return make_policy(spec.policy, bp.policy_bag);
+  SpecParams bag = bp.policy_bag;
+  bag.set("seed", policy_seed);
+  return make_policy(spec.policy, bag);
+}
+
 /// Offline pre-training for the mdp baseline: max(train_days, 1) days from
 /// the trainer stream derive_stream_seed(household_seed, 1), built by the
 /// blueprint's household, then solve. No-op for every other policy.
@@ -47,6 +60,35 @@ void pretrain_from(const ScenarioSpec& spec, const ScenarioBlueprint& bp,
     mdp->observe_training_day(trainer->next_day(), prices);
   }
   mdp->solve();
+}
+
+/// The one household schedule. It leases the accumulator first, so a bad
+/// `mi` fails before pre-training or any day (building it draws no
+/// randomness), pre-trains, calls `set_up()`, runs the train_days, then
+/// folds the eval_days into the paper's metrics.
+template <typename SetUp>
+EvaluationResult run_schedule(const ScenarioSpec& spec,
+                              const ScenarioBlueprint& bp,
+                              std::uint64_t household_seed,
+                              TraceSource& source, const TouSchedule& prices,
+                              Battery& battery, BlhPolicy& policy,
+                              RunArena& arena, const SetUp& set_up) {
+  RLBLH_REQUIRE(spec.eval_days >= 1,
+                "scenario run: need at least one evaluation day");
+  EvaluationAccumulator& accumulator = arena.accumulator(
+      source.intervals(), spec.mi_levels, source.usage_cap());
+  pretrain_from(spec, bp, household_seed, prices, policy);
+  set_up();
+
+  SimEngine& engine = arena.engine();
+  if (spec.train_days > 0) {
+    engine.run_days(source, prices, battery, policy, spec.train_days);
+  }
+  engine.run_days(source, prices, battery, policy, spec.eval_days,
+                  [&](std::size_t, const DayResult& day) {
+                    accumulator.observe_day(day, prices);
+                  });
+  return accumulator.result();
 }
 
 }  // namespace
@@ -142,31 +184,6 @@ void pretrain_if_needed(const ScenarioSpec& spec, const TouSchedule& prices,
                 policy);
 }
 
-Scenario build_scenario(const ScenarioSpec& spec) {
-  TouSchedule prices = make_scenario_pricing(spec);
-  auto source = make_scenario_source(spec);
-  Battery battery(spec.battery_kwh, spec.battery_kwh / 2.0);
-  auto policy = make_scenario_policy(spec);
-  Simulator simulator(std::move(source), std::move(prices), battery);
-  return Scenario{spec, std::move(policy), std::move(simulator)};
-}
-
-EvaluationResult run_scenario(Scenario& scenario) {
-  const ScenarioSpec& spec = scenario.spec;
-  pretrain_if_needed(spec, scenario.simulator.prices(), *scenario.policy);
-  EvaluationConfig config;
-  config.train_days = spec.train_days;
-  config.eval_days = spec.eval_days;
-  config.mi_levels = spec.mi_levels;
-  return evaluate_policy(scenario.simulator, *scenario.policy, config);
-}
-
-EvaluationResult run_spec(const ScenarioSpec& spec,
-                          const TouSchedule& prices) {
-  RunArena arena;
-  return run_spec(spec, prices, arena);
-}
-
 ScenarioBlueprint make_scenario_blueprint(const ScenarioSpec& spec) {
   ScenarioBlueprint bp;
   if (spec.household != "csv") {
@@ -200,41 +217,50 @@ EvaluationResult run_blueprint(const ScenarioSpec& spec,
                                const TouSchedule& prices,
                                std::uint64_t policy_seed,
                                std::uint64_t household_seed, RunArena& arena) {
-  RLBLH_REQUIRE(spec.eval_days >= 1,
-                "run_blueprint: need at least one evaluation day");
+  RLBLH_OBS_NOW(setup_start);
   const std::unique_ptr<TraceSource> source =
       make_blueprint_source(spec, bp, household_seed);
-  std::unique_ptr<BlhPolicy> policy;
-  if (bp.policy_seed_pinned) {
-    policy = make_policy(spec.policy, bp.policy_bag);
-  } else {
-    SpecParams bag = bp.policy_bag;
-    bag.set("seed", policy_seed);
-    policy = make_policy(spec.policy, bag);
-  }
-  // Leased before pre-training and training, so a bad `mi` fails before
-  // any day runs; building the accumulator draws no randomness.
-  EvaluationAccumulator& accumulator = arena.accumulator(
-      source->intervals(), spec.mi_levels, source->usage_cap());
-  pretrain_from(spec, bp, household_seed, prices, *policy);
-
+  const std::unique_ptr<BlhPolicy> policy =
+      make_blueprint_policy(spec, bp, policy_seed);
   Battery battery(spec.battery_kwh, spec.battery_kwh / 2.0);
-  SimEngine& engine = arena.engine();
-  if (spec.train_days > 0) {
-    engine.run_days(*source, prices, battery, *policy, spec.train_days);
-  }
-  engine.run_days(*source, prices, battery, *policy, spec.eval_days,
-                  [&](std::size_t, const DayResult& day) {
-                    accumulator.observe_day(day, prices);
-                  });
-  return accumulator.result();
+  return run_schedule(spec, bp, household_seed, *source, prices, battery,
+                      *policy, arena, [&] {
+                        RLBLH_OBS_COUNT_NS_SINCE("fleet.setup_ns",
+                                                 setup_start);
+                      });
 }
 
-EvaluationResult run_spec(const ScenarioSpec& spec, const TouSchedule& prices,
-                          RunArena& arena) {
-  const ScenarioBlueprint bp = make_scenario_blueprint(spec);
-  return run_blueprint(spec, bp, prices, spec.seed, spec.household_seed(),
-                       arena);
+EvaluationResult run_spec(const ScenarioSpec& spec,
+                          const TouSchedule& prices) {
+  RunArena arena;
+  return run_blueprint(spec, make_scenario_blueprint(spec), prices, spec.seed,
+                       spec.household_seed(), arena);
+}
+
+Scenario build_scenario(const ScenarioSpec& spec) {
+  ScenarioBlueprint bp = make_scenario_blueprint(spec);
+  TouSchedule prices = make_scenario_pricing(spec);
+  std::unique_ptr<TraceSource> source =
+      make_blueprint_source(spec, bp, spec.household_seed());
+  RLBLH_REQUIRE(prices.intervals() == source->intervals(),
+                "build_scenario: price schedule length must match the day "
+                "length");
+  std::unique_ptr<BlhPolicy> policy =
+      make_blueprint_policy(spec, bp, spec.seed);
+  return Scenario{spec,
+                  std::move(bp),
+                  std::move(prices),
+                  std::move(source),
+                  Battery(spec.battery_kwh, spec.battery_kwh / 2.0),
+                  std::move(policy),
+                  {}};
+}
+
+EvaluationResult run_scenario(Scenario& scenario) {
+  return run_schedule(scenario.spec, scenario.blueprint,
+                      scenario.spec.household_seed(), *scenario.source,
+                      scenario.prices, scenario.battery, *scenario.policy,
+                      scenario.arena, [] {});
 }
 
 }  // namespace rlblh

@@ -18,6 +18,12 @@
 // `policy.*` overrides, the trace source is seeded with the household seed
 // (hseed, default seed + 1000 — the convention simulate_cli has always
 // used), and the battery starts at half charge.
+//
+// Every number the paper reports has one shape, Algorithm 1's online day
+// loop followed by SR, CC and MI (Eqs. 20-22) over an evaluation window.
+// That schedule is written once: run_scenario runs it on a Scenario that
+// owns its household, and run_blueprint on a fleet household that borrows
+// the shared price schedule and its worker's RunArena.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +38,9 @@
 #include "meter/household.h"
 #include "meter/trace.h"
 #include "pricing/tou.h"
+#include "sim/day_result.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
 
 namespace rlblh {
 
@@ -89,35 +95,6 @@ std::unique_ptr<BlhPolicy> make_scenario_policy(const ScenarioSpec& spec);
 void pretrain_if_needed(const ScenarioSpec& spec, const TouSchedule& prices,
                         BlhPolicy& policy);
 
-/// A fully assembled scenario: the spec plus its live components. Movable;
-/// the policy outlives the simulator runs that borrow it.
-struct Scenario {
-  ScenarioSpec spec;
-  std::unique_ptr<BlhPolicy> policy;
-  Simulator simulator;
-
-  /// The policy downcast to a concrete type (nullptr when it is not one),
-  /// for callers needing policy-specific hooks (weights I/O, day stats).
-  template <typename T>
-  T* policy_as() {
-    return dynamic_cast<T*>(policy.get());
-  }
-};
-
-/// Builds the scenario's components through the registries.
-Scenario build_scenario(const ScenarioSpec& spec);
-
-/// Runs the spec's full schedule on an assembled scenario: offline
-/// pre-training when needed, train_days of (online-learning) days, then
-/// eval_days accumulated into the paper's metrics.
-EvaluationResult run_scenario(Scenario& scenario);
-
-/// As run_scenario, but constructs every per-run component itself and
-/// borrows the price schedule — the fleet path, where one immutable
-/// TouSchedule is shared by every household on the same plan. Bitwise
-/// equivalent to build_scenario + run_scenario for the same spec.
-EvaluationResult run_spec(const ScenarioSpec& spec, const TouSchedule& prices);
-
 /// The seed-independent part of a spec, resolved once and shared by every
 /// household that runs the same spec text (fleets repeat a handful of spec
 /// blueprints across thousands of households, so registry lookup, preset
@@ -148,14 +125,14 @@ std::unique_ptr<TraceSource> make_blueprint_source(const ScenarioSpec& spec,
                                                    const ScenarioBlueprint& bp,
                                                    std::uint64_t hseed);
 
-/// Reusable per-worker scratch for repeated run_spec/run_blueprint calls:
-/// the SimEngine (whose day buffers persist across households) and the
-/// EvaluationAccumulator (rebuilt per run: it holds only per-day MI pair
-/// codes and a few KB of query scratch). One arena serves one worker
-/// thread; runs borrow it sequentially. Every buffer handed out is either
-/// fully overwritten per day (engine scratch) or freshly constructed per
-/// run (accumulator), so reuse cannot leak state between households — the
-/// chunking-invariance proptests pin this.
+/// Reusable per-worker scratch for repeated run_blueprint calls (and a
+/// Scenario's own days): the SimEngine (whose day buffers persist across
+/// households) and the EvaluationAccumulator (rebuilt per run: it holds
+/// only per-day MI pair codes and a few KB of query scratch). One arena
+/// serves one worker thread; runs borrow it sequentially. Every buffer
+/// handed out is either fully overwritten per day (engine scratch) or
+/// freshly constructed per run (accumulator), so reuse cannot leak state
+/// between households — the chunking-invariance proptests pin this.
 class RunArena {
  public:
   /// The arena's engine. Day buffers are reused across calls; SimEngine's
@@ -172,18 +149,71 @@ class RunArena {
   std::optional<EvaluationAccumulator> accumulator_;
 };
 
-/// Runs one household from a resolved blueprint: the blueprint supplies the
-/// spec-shared state, `policy_seed`/`household_seed` the per-household RNG
-/// streams, and `arena` the reusable scratch. Bitwise equivalent to
-/// run_spec on the spec with seed = policy_seed and hseed = household_seed.
+/// One household assembled from a spec, owning everything its days touch:
+/// the spec and its blueprint, the price schedule, the trace source
+/// (seeded with the household seed), the battery (starting at b_M / 2),
+/// the policy and the RunArena whose engine runs the days. run_scenario()
+/// runs the spec's schedule on it; run_day() and run_days() drive it day
+/// by day for training phases, traces and custom metrics. State carries
+/// over between calls as it would in a real household.
+struct Scenario {
+  ScenarioSpec spec;
+  ScenarioBlueprint blueprint;
+  TouSchedule prices;
+  std::unique_ptr<TraceSource> source;
+  Battery battery;
+  std::unique_ptr<BlhPolicy> policy;
+  RunArena arena;
+
+  /// Runs one day. The record is the engine's reused scratch, valid until
+  /// the next day on this scenario: copy it to keep it.
+  const DayResult& run_day() {
+    return arena.engine().run_day(*source, prices, battery, *policy);
+  }
+
+  /// Runs `days` consecutive days and returns the last one's record; when
+  /// set, `on_day` observes every day's record in order.
+  const DayResult& run_days(std::size_t days,
+                            const SimEngine::DayCallback& on_day = nullptr) {
+    return arena.engine().run_days(*source, prices, battery, *policy, days,
+                                   on_day);
+  }
+
+  /// The policy downcast to a concrete type (nullptr when it is not one),
+  /// for callers needing policy-specific hooks (weights I/O, day stats).
+  template <typename T>
+  T* policy_as() {
+    return dynamic_cast<T*>(policy.get());
+  }
+};
+
+/// Builds the spec's household through its blueprint: the same source and
+/// policy run_spec would build for the spec's seeds.
+Scenario build_scenario(const ScenarioSpec& spec);
+
+/// Runs the spec's schedule on the scenario, from its current state: the
+/// evaluation accumulator is leased first (a bad `mi` fails before any
+/// work), then offline pre-training when the policy needs it, train_days
+/// of online-learning days, and eval_days folded into the paper's metrics.
+EvaluationResult run_scenario(Scenario& scenario);
+
+/// Runs one household from a resolved blueprint — the fleet path: the
+/// blueprint supplies the spec-shared state, `policy_seed` /
+/// `household_seed` the per-household RNG streams, `prices` the shared
+/// schedule and `arena` the worker's reusable scratch. The same schedule
+/// as run_scenario, and bitwise equal to it on the spec with seed =
+/// policy_seed and hseed = household_seed. While observability records,
+/// the household's set-up (source, policy, accumulator lease and
+/// pre-training) is added to `fleet.setup_ns`.
 EvaluationResult run_blueprint(const ScenarioSpec& spec,
                                const ScenarioBlueprint& bp,
                                const TouSchedule& prices,
                                std::uint64_t policy_seed,
                                std::uint64_t household_seed, RunArena& arena);
 
-/// run_spec reusing a caller-owned arena instead of per-call scratch.
-EvaluationResult run_spec(const ScenarioSpec& spec, const TouSchedule& prices,
-                          RunArena& arena);
+/// One household of the spec through run_blueprint, borrowing the price
+/// schedule (one immutable TouSchedule can serve every household on the
+/// same plan). Bitwise equal to build_scenario + run_scenario.
+EvaluationResult run_spec(const ScenarioSpec& spec, const TouSchedule& prices);
 
 }  // namespace rlblh

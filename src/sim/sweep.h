@@ -1,14 +1,14 @@
 // Parallel sweep engine for the figure reproductions.
 //
 // Every evaluation in the paper is a sweep: a grid of (configuration, seed)
-// cells, each of which trains and measures one Simulator/policy pair in
+// cells, each of which trains and measures one household/policy pair in
 // isolation. SweepRunner fans those cells out across a fixed-size thread
 // pool with a hard determinism guarantee:
 //
 //   parallel results are bitwise identical to serial results.
 //
 // The guarantee holds because (a) each cell is required to be a pure
-// function of its grid index — it constructs its own Simulator, policy and
+// function of its grid index — it constructs its own household, policy and
 // rlblh::Rng streams from per-cell seeds and shares no mutable state with
 // other cells — and (b) results are collected into a pre-sized vector by
 // grid index and reduced in grid order on the calling thread, never in

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "util/error.h"
@@ -45,7 +46,13 @@ class ByteWriter {
  private:
   void raw(const void* data, std::size_t n) {
     const auto* bytes = static_cast<const typename Buffer::value_type*>(data);
-    out_.insert(out_.end(), bytes, bytes + n);
+    if constexpr (std::is_same_v<Buffer, std::string>) {
+      // append, not insert: GCC 12 reports a false -Wrestrict on the
+      // inlined std::string::insert.
+      out_.append(bytes, n);
+    } else {
+      out_.insert(out_.end(), bytes, bytes + n);
+    }
   }
 
   Buffer& out_;

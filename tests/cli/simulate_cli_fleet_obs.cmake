@@ -1,6 +1,7 @@
 # Runs `simulate_cli --fleet 4 ... --obs-out OUT` and requires OUT to exist
-# and to hold non-zero `rl.` counters: the fleet path must write its run
-# manifest like the single-household path does.
+# and to hold non-zero `rl.` counters and a non-zero `fleet.setup_ns`: the
+# fleet path must write its run manifest like the single-household path
+# does, and time its households' set-up.
 #
 #   cmake -DCLI=path/to/simulate_cli -DOUT=manifest.json \
 #         -P simulate_cli_fleet_obs.cmake
@@ -35,4 +36,10 @@ endif()
 if(rl_counters EQUAL 0)
   message(FATAL_ERROR "manifest holds no non-zero rl. counters")
 endif()
-message(STATUS "fleet manifest ok: ${rl_counters} non-zero rl. counters")
+string(JSON setup_ns ERROR_VARIABLE setup_error
+       GET "${counters}" "fleet.setup_ns")
+if(setup_error OR NOT setup_ns GREATER 0)
+  message(FATAL_ERROR "manifest holds no non-zero fleet.setup_ns counter")
+endif()
+message(STATUS "fleet manifest ok: ${rl_counters} non-zero rl. counters, "
+               "fleet.setup_ns ${setup_ns}")

@@ -21,8 +21,11 @@
 #include <vector>
 
 #include "baselines/lowpass.h"
+#include "battery/battery.h"
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
+#include "pricing/tou.h"
+#include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/fleet.h"
 
@@ -88,16 +91,35 @@ RlBlhConfig scenario_config(std::size_t decision_interval, double battery,
   return config;
 }
 
+/// Folds the next `days` days of the household wired into `engine` into
+/// the paper's metrics (8 MI levels).
+EvaluationResult measure(SimEngine& engine, TraceSource& source,
+                         const TouSchedule& prices, Battery& battery,
+                         BlhPolicy& policy, std::size_t days) {
+  EvaluationAccumulator accumulator(source.intervals(), 8,
+                                    source.usage_cap());
+  engine.run_days(source, prices, battery, policy, days,
+                  [&](std::size_t, const DayResult& day) {
+                    accumulator.observe_day(day, prices);
+                  });
+  return accumulator.result();
+}
+
 TEST(GoldenRegression, Fig4DayTraces) {
   // Figure 4: one day of meter readings per scheme after a short burn-in.
+  const TouSchedule prices = TouSchedule::srp_plan();
   Series series;
+  // Sized up front here and in Fig5: at -O2, GCC 12 reports a false
+  // -Warray-bounds on the first insert into the empty vector otherwise.
+  series.reserve(8);
   {
     RlBlhConfig config = scenario_config(15, 5.0, 41);
     RlBlhPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 5.0, 141);
-    sim.run_days(policy, 5);
-    const DayResult day = sim.run_day(policy);
+    HouseholdTraceSource source(HouseholdConfig{}, 141);
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    const DayResult& day =
+        engine.run_days(source, prices, battery, policy, 6);
     series.emplace_back("rlblh_readings_total", day.readings.total());
     series.emplace_back("rlblh_readings_peak", day.readings.peak());
     series.emplace_back("rlblh_savings_cents", day.savings_cents);
@@ -106,19 +128,21 @@ TEST(GoldenRegression, Fig4DayTraces) {
     LowPassConfig config;
     config.battery_capacity = 3.0;
     LowPassPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 3.0, 142);
-    sim.run_days(policy, 5);
-    const DayResult day = sim.run_day(policy);
+    HouseholdTraceSource source(HouseholdConfig{}, 142);
+    Battery battery(3.0, 1.5);
+    SimEngine engine;
+    const DayResult& day =
+        engine.run_days(source, prices, battery, policy, 6);
     series.emplace_back("lowpass_readings_total", day.readings.total());
     series.emplace_back("lowpass_readings_peak", day.readings.peak());
     series.emplace_back("lowpass_savings_cents", day.savings_cents);
   }
   {
     PassthroughPolicy policy;
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 5.0, 143);
-    const DayResult day = sim.run_day(policy);
+    HouseholdTraceSource source(HouseholdConfig{}, 143);
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    const DayResult& day = engine.run_day(source, prices, battery, policy);
     series.emplace_back("none_readings_total", day.readings.total());
     series.emplace_back("none_savings_cents", day.savings_cents);
   }
@@ -126,17 +150,20 @@ TEST(GoldenRegression, Fig4DayTraces) {
 }
 
 TEST(GoldenRegression, Fig5CompareLowpass) {
-  // Figure 5: cost metrics, RL-BLH against the low-pass baseline.
+  // Figure 5: cost metrics, RL-BLH against the low-pass baseline, each
+  // measured over 4 days after 8 days of training.
+  const TouSchedule prices = TouSchedule::srp_plan();
   Series series;
-  EvaluationConfig eval;
-  eval.train_days = 8;
-  eval.eval_days = 4;
+  series.reserve(6);
   {
     RlBlhConfig config = scenario_config(15, 5.0, 51);
     RlBlhPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 5.0, 151);
-    const EvaluationResult r = evaluate_policy(sim, policy, eval);
+    HouseholdTraceSource source(HouseholdConfig{}, 151);
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    engine.run_days(source, prices, battery, policy, 8);
+    const EvaluationResult r =
+        measure(engine, source, prices, battery, policy, 4);
     series.emplace_back("rlblh_sr", r.saving_ratio);
     series.emplace_back("rlblh_savings_cents", r.mean_daily_savings_cents);
     series.emplace_back("rlblh_cc", r.mean_cc);
@@ -145,9 +172,12 @@ TEST(GoldenRegression, Fig5CompareLowpass) {
     LowPassConfig config;
     config.battery_capacity = 5.0;
     LowPassPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 5.0, 152);
-    const EvaluationResult r = evaluate_policy(sim, policy, eval);
+    HouseholdTraceSource source(HouseholdConfig{}, 152);
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    engine.run_days(source, prices, battery, policy, 8);
+    const EvaluationResult r =
+        measure(engine, source, prices, battery, policy, 4);
     series.emplace_back("lowpass_sr", r.saving_ratio);
     series.emplace_back("lowpass_savings_cents", r.mean_daily_savings_cents);
     series.emplace_back("lowpass_cc", r.mean_cc);
@@ -159,9 +189,11 @@ TEST(GoldenRegression, Fig6Convergence) {
   // Figure 6: the TD-error trajectory over the first training days.
   RlBlhConfig config = scenario_config(15, 5.0, 61);
   RlBlhPolicy policy(config);
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 5.0, 161);
-  for (int d = 0; d < 15; ++d) (void)sim.run_day(policy);
+  HouseholdTraceSource source(HouseholdConfig{}, 161);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
+  engine.run_days(source, prices, battery, policy, 15);
   const auto& stats = policy.day_stats();
   Series series;
   for (const std::size_t d : {0u, 4u, 9u, 14u}) {
@@ -180,15 +212,15 @@ TEST(GoldenRegression, Fig7Heuristics) {
     config.enable_reuse = heuristics;
     config.enable_synthetic = heuristics;
     RlBlhPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 5.0, 171);
-    sim.run_days(policy, 6);
+    HouseholdTraceSource source(HouseholdConfig{}, 171);
+    const TouSchedule prices = TouSchedule::srp_plan();
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    engine.run_days(source, prices, battery, policy, 6);
     policy.set_learning_enabled(false);
     policy.set_exploration_enabled(false);
-    EvaluationConfig eval;
-    eval.train_days = 0;
-    eval.eval_days = 3;
-    const EvaluationResult r = evaluate_policy(sim, policy, eval);
+    const EvaluationResult r =
+        measure(engine, source, prices, battery, policy, 3);
     series.emplace_back(heuristics ? "sr_with_heuristics" : "sr_without",
                         r.saving_ratio);
   }
@@ -201,12 +233,13 @@ TEST(GoldenRegression, Fig8DecisionInterval) {
   for (const std::size_t n_d : {10u, 15u, 30u}) {
     RlBlhConfig config = scenario_config(n_d, 5.0, 81);
     RlBlhPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), 5.0, 181);
-    EvaluationConfig eval;
-    eval.train_days = 6;
-    eval.eval_days = 3;
-    const EvaluationResult r = evaluate_policy(sim, policy, eval);
+    HouseholdTraceSource source(HouseholdConfig{}, 181);
+    const TouSchedule prices = TouSchedule::srp_plan();
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    engine.run_days(source, prices, battery, policy, 6);
+    const EvaluationResult r =
+        measure(engine, source, prices, battery, policy, 3);
     series.emplace_back("sr_nd" + std::to_string(n_d), r.saving_ratio);
   }
   expect_matches_golden("fig8_decision_interval", series);
@@ -218,12 +251,13 @@ TEST(GoldenRegression, Fig9BatteryCapacity) {
   for (const double b_m : {3.0, 5.0, 8.0}) {
     RlBlhConfig config = scenario_config(15, b_m, 91);
     RlBlhPolicy policy(config);
-    Simulator sim = make_household_simulator(HouseholdConfig{},
-                                             TouSchedule::srp_plan(), b_m, 191);
-    EvaluationConfig eval;
-    eval.train_days = 6;
-    eval.eval_days = 3;
-    const EvaluationResult r = evaluate_policy(sim, policy, eval);
+    HouseholdTraceSource source(HouseholdConfig{}, 191);
+    const TouSchedule prices = TouSchedule::srp_plan();
+    Battery battery(b_m, b_m / 2.0);
+    SimEngine engine;
+    engine.run_days(source, prices, battery, policy, 6);
+    const EvaluationResult r =
+        measure(engine, source, prices, battery, policy, 3);
     std::ostringstream key;
     key << "sr_bm" << b_m;
     series.emplace_back(key.str(), r.saving_ratio);

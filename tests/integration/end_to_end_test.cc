@@ -5,9 +5,11 @@
 
 #include "baselines/lowpass.h"
 #include "baselines/mdp.h"
+#include "battery/battery.h"
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
 #include "privacy/metrics.h"
+#include "sim/engine.h"
 #include "sim/experiment.h"
 
 namespace rlblh {
@@ -25,26 +27,53 @@ RlBlhConfig fast_rl_config(unsigned seed) {
   return config;
 }
 
-double greedy_sr(Simulator& sim, RlBlhPolicy& policy, int days) {
+/// Greedy saving ratio of the next `days` days of the household wired
+/// into `engine`, with learning and exploration frozen for them.
+double greedy_sr(SimEngine& engine, TraceSource& source,
+                 const TouSchedule& prices, Battery& battery,
+                 RlBlhPolicy& policy, int days) {
   policy.set_learning_enabled(false);
   policy.set_exploration_enabled(false);
   SavingRatioAccumulator sr;
   for (int d = 0; d < days; ++d) {
-    const DayResult day = sim.run_day(policy);
-    sr.observe_day(day.usage, day.readings, sim.prices());
+    const DayResult& day = engine.run_day(source, prices, battery, policy);
+    sr.observe_day(day.usage, day.readings, prices);
   }
   policy.set_learning_enabled(true);
   policy.set_exploration_enabled(true);
   return sr.saving_ratio();
 }
 
+/// A fresh default household with seed `hseed` and a half-charged battery
+/// of `capacity`, run for `train_days` and then measured over `eval_days`.
+EvaluationResult train_and_evaluate(BlhPolicy& policy,
+                                    const TouSchedule& prices,
+                                    double capacity, std::uint64_t hseed,
+                                    std::size_t train_days,
+                                    std::size_t eval_days) {
+  HouseholdTraceSource source(HouseholdConfig{}, hseed);
+  Battery battery(capacity, capacity / 2.0);
+  SimEngine engine;
+  engine.run_days(source, prices, battery, policy, train_days);
+  EvaluationAccumulator accumulator(source.intervals(), 8,
+                                    source.usage_cap());
+  engine.run_days(source, prices, battery, policy, eval_days,
+                  [&](std::size_t, const DayResult& day) {
+                    accumulator.observe_day(day, prices);
+                  });
+  return accumulator.result();
+}
+
 TEST(EndToEnd, LearningImprovesSavings) {
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 5.0, 11);
+  HouseholdTraceSource source(HouseholdConfig{}, 11);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   RlBlhPolicy policy(fast_rl_config(1));
-  const double before = greedy_sr(sim, policy, 5);
-  sim.run_days(policy, 35);
-  const double after = greedy_sr(sim, policy, 15);
+  const double before =
+      greedy_sr(engine, source, prices, battery, policy, 5);
+  engine.run_days(source, prices, battery, policy, 35);
+  const double after = greedy_sr(engine, source, prices, battery, policy, 15);
   EXPECT_GT(after, before + 0.03);  // at least 3 SR points of improvement
   EXPECT_GT(after, 0.04);           // and meaningful in absolute terms
 }
@@ -62,20 +91,15 @@ TEST(EndToEnd, RlBlhHidesLowFrequencyBetterThanLowPass) {
   rl_config.seed = 2;
   rl_config.reuse_repeats = 25;
   rl_config.synthetic_repeats = 150;
-  Simulator rl_sim = make_household_simulator(HouseholdConfig{}, prices,
-                                              3.0, 21);
   RlBlhPolicy rl(rl_config);
-  EvaluationConfig eval;
-  eval.train_days = 40;
-  eval.eval_days = 40;
-  const EvaluationResult rl_result = evaluate_policy(rl_sim, rl, eval);
+  const EvaluationResult rl_result =
+      train_and_evaluate(rl, prices, 3.0, 21, 40, 40);
 
-  Simulator lp_sim = make_household_simulator(HouseholdConfig{}, prices,
-                                              3.0, 21);
   LowPassConfig lp_config;
   lp_config.battery_capacity = 3.0;
   LowPassPolicy lp(lp_config);
-  const EvaluationResult lp_result = evaluate_policy(lp_sim, lp, eval);
+  const EvaluationResult lp_result =
+      train_and_evaluate(lp, prices, 3.0, 21, 40, 40);
 
   EXPECT_LT(rl_result.mean_cc, 0.85 * lp_result.mean_cc);
   // And the cost claim (Figure 5c): RL-BLH's savings are by design.
@@ -84,19 +108,14 @@ TEST(EndToEnd, RlBlhHidesLowFrequencyBetterThanLowPass) {
 
 TEST(EndToEnd, BothSchemesLeakFarLessThanRawMeter) {
   const TouSchedule prices = TouSchedule::srp_plan();
-  EvaluationConfig eval;
-  eval.train_days = 10;
-  eval.eval_days = 20;
 
-  Simulator raw_sim = make_household_simulator(HouseholdConfig{}, prices,
-                                               5.0, 31);
   PassthroughPolicy raw;
-  const EvaluationResult raw_result = evaluate_policy(raw_sim, raw, eval);
+  const EvaluationResult raw_result =
+      train_and_evaluate(raw, prices, 5.0, 31, 10, 20);
 
-  Simulator rl_sim = make_household_simulator(HouseholdConfig{}, prices,
-                                              5.0, 31);
   RlBlhPolicy rl(fast_rl_config(3));
-  const EvaluationResult rl_result = evaluate_policy(rl_sim, rl, eval);
+  const EvaluationResult rl_result =
+      train_and_evaluate(rl, prices, 5.0, 31, 10, 20);
 
   EXPECT_GT(raw_result.normalized_mi, 3.0 * rl_result.normalized_mi);
   EXPECT_GT(raw_result.mean_cc, 5.0 * std::abs(rl_result.mean_cc));
@@ -111,16 +130,16 @@ TEST(EndToEnd, HeuristicsAccelerateConvergence) {
   without.enable_reuse = false;
   without.enable_synthetic = false;
 
-  Simulator sim_with = make_household_simulator(HouseholdConfig{}, prices,
-                                                5.0, 41);
-  Simulator sim_without = make_household_simulator(HouseholdConfig{}, prices,
-                                                   5.0, 41);
-  RlBlhPolicy p_with(with);
-  RlBlhPolicy p_without(without);
-  sim_with.run_days(p_with, 15);
-  sim_without.run_days(p_without, 15);
-  const double sr_with = greedy_sr(sim_with, p_with, 15);
-  const double sr_without = greedy_sr(sim_without, p_without, 15);
+  const auto trained_sr = [&](const RlBlhConfig& config) {
+    HouseholdTraceSource source(HouseholdConfig{}, 41);
+    Battery battery(5.0, 2.5);
+    SimEngine engine;
+    RlBlhPolicy policy(config);
+    engine.run_days(source, prices, battery, policy, 15);
+    return greedy_sr(engine, source, prices, battery, policy, 15);
+  };
+  const double sr_with = trained_sr(with);
+  const double sr_without = trained_sr(without);
   EXPECT_GT(sr_with, sr_without + 0.02);
 }
 
@@ -139,11 +158,12 @@ TEST(EndToEnd, MdpWithKnownDistributionIsUpperReference) {
     mdp.observe_training_day(trainer.generate_day(), prices);
   }
   mdp.solve();
-  Simulator mdp_sim = make_household_simulator(HouseholdConfig{}, prices,
-                                               5.0, 52);
+  HouseholdTraceSource source(HouseholdConfig{}, 52);
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   SavingRatioAccumulator mdp_sr;
   for (int d = 0; d < 20; ++d) {
-    const DayResult day = mdp_sim.run_day(mdp);
+    const DayResult& day = engine.run_day(source, prices, battery, mdp);
     mdp_sr.observe_day(day.usage, day.readings, prices);
   }
   EXPECT_GT(mdp_sr.saving_ratio(), 0.12);
@@ -153,19 +173,22 @@ TEST(EndToEnd, AdaptsAfterBehaviourShift) {
   // Section VIII: the weights keep updating, so savings recover after the
   // household pattern changes.
   const TouSchedule prices = TouSchedule::srp_plan();
-  Simulator sim = make_household_simulator(HouseholdConfig{}, prices, 5.0, 61);
+  HouseholdTraceSource source(HouseholdConfig{}, 61);
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   RlBlhPolicy policy(fast_rl_config(5));
-  sim.run_days(policy, 20);
+  engine.run_days(source, prices, battery, policy, 20);
 
   HouseholdConfig shifted;
   shifted.wake_mean = 700.0;
   shifted.leave_mean = 800.0;
   shifted.back_mean = 1200.0;
   shifted.sleep_mean = 1430.0;
-  static_cast<HouseholdTraceSource&>(sim.source()).model().set_config(shifted);
+  source.model().set_config(shifted);
 
-  sim.run_days(policy, 25);  // online re-adaptation
-  const double recovered = greedy_sr(sim, policy, 15);
+  engine.run_days(source, prices, battery, policy, 25);  // re-adaptation
+  const double recovered =
+      greedy_sr(engine, source, prices, battery, policy, 15);
   EXPECT_GT(recovered, 0.03);
 }
 

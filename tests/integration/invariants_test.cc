@@ -1,4 +1,4 @@
-// System-level invariants checked over the full policy/battery/simulator
+// System-level invariants checked over the full policy/battery/engine
 // stack. The per-interval assertions live in sim/invariants.h's
 // InvariantChecker (shared with the property suites and the CLI); these
 // tests wire it into real simulations, including the decision-interval
@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "baselines/lowpass.h"
+#include "battery/battery.h"
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
-#include "sim/experiment.h"
+#include "pricing/tou.h"
+#include "sim/engine.h"
 #include "sim/invariants.h"
 
 namespace rlblh {
@@ -36,15 +38,17 @@ TEST_P(DecisionIntervalSweep, PulsesHaveExactWidthAndBatteryStaysLegal) {
   config.enable_reuse = false;
   config.enable_synthetic = false;
   RlBlhPolicy policy(config);
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 5.0, 71);
+  HouseholdTraceSource source(HouseholdConfig{}, 71);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   // The checker enforces, per interval: battery in [0, b_M], readings in
   // [0, x_M], rectangular pulses of width n_D (last one truncated when n_D
   // does not divide n_M), the Section III-B feasibility rule, energy
   // conservation and the savings accounting — run_day throws on any miss.
-  sim.enable_invariant_checks(pulse_check(config));
+  engine.enable_invariant_checks(pulse_check(config));
   for (int d = 0; d < 10; ++d) {
-    const DayResult day = sim.run_day(policy);
+    const DayResult& day = engine.run_day(source, prices, battery, policy);
     ASSERT_EQ(day.battery_violations, 0u);
   }
 }
@@ -61,38 +65,41 @@ TEST(Invariants, CheckerAcceptsEnergyConservationAcrossDay) {
   config.enable_reuse = false;
   config.enable_synthetic = false;
   RlBlhPolicy policy(config);
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 5.0, 72);
+  HouseholdTraceSource source(HouseholdConfig{}, 72);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   const InvariantChecker checker(pulse_check(config));
   for (int d = 0; d < 10; ++d) {
-    const DayResult day = sim.run_day(policy);
+    const DayResult& day = engine.run_day(source, prices, battery, policy);
     ASSERT_EQ(day.battery_violations, 0u);
-    const auto violations =
-        checker.check_day(day, sim.prices(), sim.battery().level());
+    const auto violations = checker.check_day(day, prices, battery.level());
     ASSERT_TRUE(violations.empty())
         << violations.size() << " violation(s), first: "
         << violations.front().detail;
     // The checker's energy invariant is the identity the old hand-rolled
     // loop asserted: sum(y) - sum(x) == level(end) - level(start).
     const double start = day.battery_levels.front();
-    const double end = sim.battery().level();
+    const double end = battery.level();
     ASSERT_NEAR(day.readings.total() - day.usage.total(), end - start, 1e-9);
   }
 }
 
 TEST(Invariants, SavingsIdentityUnderEveryPolicy) {
   const TouSchedule prices = TouSchedule::srp_plan();
-  Simulator sim = make_household_simulator(HouseholdConfig{}, prices, 5.0, 73);
+  HouseholdTraceSource source(HouseholdConfig{}, 73);
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
   // Low-pass is not pulse-shaped and may clip: bounds + accounting profile.
   InvariantCheckConfig check;
   check.battery_capacity = 5.0;
   check.expect_feasible = false;
-  sim.enable_invariant_checks(check);
+  engine.enable_invariant_checks(check);
   LowPassConfig lp_config;
   lp_config.battery_capacity = 5.0;
   LowPassPolicy lp(lp_config);
   for (int d = 0; d < 10; ++d) {
-    const DayResult day = sim.run_day(lp);
+    const DayResult& day = engine.run_day(source, prices, battery, lp);
     ASSERT_NEAR(day.savings_cents + day.bill_cents, day.usage_cost_cents,
                 1e-9);
   }
@@ -101,25 +108,27 @@ TEST(Invariants, SavingsIdentityUnderEveryPolicy) {
 TEST(Invariants, LossyBatteryStillLegalUnderRlBlh) {
   // Footnote 2: with charge/discharge losses the feasibility rule is no
   // longer airtight, but the physical battery must still clip into
-  // [0, b_M] and the simulator must report what the grid actually served.
+  // [0, b_M] and the engine must report what the grid actually served.
   RlBlhConfig config;
   config.battery_capacity = 5.0;
   config.decision_interval = 15;
   config.enable_reuse = false;
   config.enable_synthetic = false;
   RlBlhPolicy policy(config);
-  auto source = std::make_unique<HouseholdTraceSource>(HouseholdConfig{}, 74);
+  HouseholdTraceSource source(HouseholdConfig{}, 74);
+  const TouSchedule prices = TouSchedule::srp_plan();
   Battery lossy(5.0, 2.5, /*charge_efficiency=*/0.92,
                 /*discharge_efficiency=*/0.92);
-  Simulator sim(std::move(source), TouSchedule::srp_plan(), lossy);
+  SimEngine engine;
   InvariantCheckConfig check;
   check.battery_capacity = 5.0;
   check.usage_cap = config.usage_cap;
   check.decision_interval = config.decision_interval;
   check.expect_feasible = false;  // losses void the lossless guarantees
-  sim.enable_invariant_checks(check);
+  engine.enable_invariant_checks(check);
   for (int d = 0; d < 20; ++d) {
-    (void)sim.run_day(policy);  // checker throws on a bound/accounting miss
+    // The checker throws on a bound/accounting miss.
+    (void)engine.run_day(source, prices, lossy, policy);
   }
 }
 
@@ -127,14 +136,16 @@ TEST(Invariants, LowPassBatteryStaysLegal) {
   LowPassConfig config;
   config.battery_capacity = 3.0;
   LowPassPolicy policy(config);
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 3.0, 75);
+  HouseholdTraceSource source(HouseholdConfig{}, 75);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(3.0, 1.5);
+  SimEngine engine;
   InvariantCheckConfig check;
   check.battery_capacity = 3.0;
   check.expect_feasible = false;
-  sim.enable_invariant_checks(check);
+  engine.enable_invariant_checks(check);
   for (int d = 0; d < 20; ++d) {
-    (void)sim.run_day(policy);
+    (void)engine.run_day(source, prices, battery, policy);
   }
 }
 
@@ -148,11 +159,13 @@ TEST(Invariants, LongRunStabilityWithFullHeuristics) {
   config.reuse_repeats = 30;      // lighter than the paper, same schedule
   config.synthetic_repeats = 100;
   RlBlhPolicy policy(config);
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 5.0, 76);
-  sim.enable_invariant_checks(pulse_check(config));
+  HouseholdTraceSource source(HouseholdConfig{}, 76);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
+  engine.enable_invariant_checks(pulse_check(config));
   for (int d = 0; d < 60; ++d) {
-    const DayResult day = sim.run_day(policy);
+    const DayResult& day = engine.run_day(source, prices, battery, policy);
     ASSERT_EQ(day.battery_violations, 0u);
   }
   ASSERT_EQ(policy.day_stats().size(), 60u);
@@ -184,10 +197,12 @@ TEST(Invariants, TruncatedLastPulseIsRectangular) {
   ASSERT_EQ(config.decisions_per_day(), 111u);
   ASSERT_EQ(config.decision_width(110), 10u);
   RlBlhPolicy policy(config);
-  Simulator sim = make_household_simulator(HouseholdConfig{},
-                                           TouSchedule::srp_plan(), 5.0, 77);
-  sim.enable_invariant_checks(pulse_check(config));
-  const DayResult day = sim.run_day(policy);
+  HouseholdTraceSource source(HouseholdConfig{}, 77);
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(5.0, 2.5);
+  SimEngine engine;
+  engine.enable_invariant_checks(pulse_check(config));
+  const DayResult& day = engine.run_day(source, prices, battery, policy);
   const std::size_t tail_begin = 110 * 13;
   for (std::size_t n = tail_begin; n < day.readings.intervals(); ++n) {
     ASSERT_DOUBLE_EQ(day.readings.at(n), day.readings.at(tail_begin));

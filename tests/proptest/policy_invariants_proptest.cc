@@ -1,6 +1,6 @@
 // Property suites: every implemented policy, driven over randomized
 // configurations, must satisfy the paper's system-model invariants on every
-// simulated day. The InvariantChecker is wired into the Simulator, so a
+// simulated day. The InvariantChecker is armed in the SimEngine, so a
 // violating day throws and the harness reports a shrunk config plus the
 // RLBLH_PROPTEST_SEED needed to replay it.
 //
@@ -8,15 +8,20 @@
 // scale the case count with RLBLH_PROPTEST_ITERS.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
+#include <utility>
 
 #include "baselines/lowpass.h"
 #include "baselines/mdp.h"
 #include "baselines/random_pulse.h"
 #include "baselines/stepping.h"
+#include "battery/battery.h"
 #include "core/rlblh_policy.h"
+#include "meter/household.h"
+#include "pricing/tou.h"
+#include "sim/engine.h"
+#include "sim/invariants.h"
 #include "sim/proptest_domains.h"
-#include "sim/simulator.h"
 #include "util/proptest.h"
 
 namespace rlblh {
@@ -35,30 +40,39 @@ PropertyOptions suite_options(std::uint64_t stream) {
   return options;
 }
 
-/// Simulator over a random household + tariff matched to the config's
-/// geometry, starting from a random battery level, with the invariant
-/// checker armed. run_day then throws on any violating day.
-Simulator make_checked_simulator(const RlBlhConfig& config, Rng& rng,
-                                 bool pulse_shaped, bool expect_feasible) {
-  const TouSchedule prices =
+/// A random household + tariff matched to the config's geometry, with the
+/// battery at a random starting level.
+struct RandomHousehold {
+  TouSchedule prices;
+  HouseholdTraceSource source;
+  Battery battery;
+};
+
+RandomHousehold random_household(const RlBlhConfig& config, Rng& rng) {
+  TouSchedule prices =
       proptest::gen_tou_schedule(config.intervals_per_day, rng);
-  const HouseholdConfig household =
+  HouseholdConfig household =
       proptest::household_config_domain(config.intervals_per_day,
                                         config.usage_cap)
           .generate(rng);
-  auto source =
-      std::make_unique<HouseholdTraceSource>(household, rng.engine()());
-  Battery battery(config.battery_capacity,
-                  rng.uniform(0.0, config.battery_capacity));
-  Simulator sim(std::move(source), prices, battery);
+  const std::uint64_t seed = rng.engine()();
+  const double level = rng.uniform(0.0, config.battery_capacity);
+  return {std::move(prices), HouseholdTraceSource(std::move(household), seed),
+          Battery(config.battery_capacity, level)};
+}
 
+/// An engine with the invariant checker armed for the config: run_day then
+/// throws on any violating day.
+SimEngine checked_engine(const RlBlhConfig& config, bool pulse_shaped,
+                         bool expect_feasible) {
   InvariantCheckConfig check;
   check.battery_capacity = config.battery_capacity;
   check.usage_cap = pulse_shaped ? config.usage_cap : 0.0;
   check.decision_interval = pulse_shaped ? config.decision_interval : 0;
   check.expect_feasible = expect_feasible;
-  sim.enable_invariant_checks(check);
-  return sim;
+  SimEngine engine;
+  engine.enable_invariant_checks(check);
+  return engine;
 }
 
 constexpr int kDaysPerCase = 3;
@@ -67,11 +81,13 @@ TEST(PolicyInvariantsProptest, RlBlhSatisfiesAllInvariants) {
   const auto result = for_all(
       "rl-blh invariants", proptest::rlblh_config_domain(),
       [](const RlBlhConfig& config, Rng& rng) {
-        Simulator sim = make_checked_simulator(config, rng,
-                                               /*pulse_shaped=*/true,
-                                               /*expect_feasible=*/true);
+        RandomHousehold home = random_household(config, rng);
+        SimEngine engine = checked_engine(config, /*pulse_shaped=*/true,
+                                          /*expect_feasible=*/true);
         RlBlhPolicy policy(config);
-        for (int d = 0; d < kDaysPerCase; ++d) (void)sim.run_day(policy);
+        for (int d = 0; d < kDaysPerCase; ++d) {
+          (void)engine.run_day(home.source, home.prices, home.battery, policy);
+        }
       },
       suite_options(1));
   ASSERT_TRUE(result.success) << result.message;
@@ -91,11 +107,13 @@ TEST(PolicyInvariantsProptest, RlBlhWithHeuristicsSatisfiesAllInvariants) {
         config.enable_synthetic = true;
         config.synthetic_period = 2;
         config.synthetic_repeats = 2;
-        Simulator sim = make_checked_simulator(config, rng,
-                                               /*pulse_shaped=*/true,
-                                               /*expect_feasible=*/true);
+        RandomHousehold home = random_household(config, rng);
+        SimEngine engine = checked_engine(config, /*pulse_shaped=*/true,
+                                          /*expect_feasible=*/true);
         RlBlhPolicy policy(config);
-        for (int d = 0; d < kDaysPerCase; ++d) (void)sim.run_day(policy);
+        for (int d = 0; d < kDaysPerCase; ++d) {
+          (void)engine.run_day(home.source, home.prices, home.battery, policy);
+        }
       },
       suite_options(2));
   ASSERT_TRUE(result.success) << result.message;
@@ -105,11 +123,13 @@ TEST(PolicyInvariantsProptest, RandomPulseSatisfiesAllInvariants) {
   const auto result = for_all(
       "random-pulse invariants", proptest::rlblh_config_domain(),
       [](const RlBlhConfig& config, Rng& rng) {
-        Simulator sim = make_checked_simulator(config, rng,
-                                               /*pulse_shaped=*/true,
-                                               /*expect_feasible=*/true);
+        RandomHousehold home = random_household(config, rng);
+        SimEngine engine = checked_engine(config, /*pulse_shaped=*/true,
+                                          /*expect_feasible=*/true);
         RandomPulsePolicy policy(config);
-        for (int d = 0; d < kDaysPerCase; ++d) (void)sim.run_day(policy);
+        for (int d = 0; d < kDaysPerCase; ++d) {
+          (void)engine.run_day(home.source, home.prices, home.battery, policy);
+        }
       },
       suite_options(3));
   ASSERT_TRUE(result.success) << result.message;
@@ -121,16 +141,18 @@ TEST(PolicyInvariantsProptest, LowPassKeepsBatteryLegalAndAccountingExact) {
   const auto result = for_all(
       "low-pass invariants", proptest::rlblh_config_domain(),
       [](const RlBlhConfig& config, Rng& rng) {
-        Simulator sim = make_checked_simulator(config, rng,
-                                               /*pulse_shaped=*/false,
-                                               /*expect_feasible=*/false);
+        RandomHousehold home = random_household(config, rng);
+        SimEngine engine = checked_engine(config, /*pulse_shaped=*/false,
+                                          /*expect_feasible=*/false);
         LowPassConfig lp;
         lp.intervals_per_day = config.intervals_per_day;
         lp.usage_cap = config.usage_cap;
         lp.battery_capacity = config.battery_capacity;
         lp.initial_target = rng.uniform(0.0, config.usage_cap);
         LowPassPolicy policy(lp);
-        for (int d = 0; d < kDaysPerCase; ++d) (void)sim.run_day(policy);
+        for (int d = 0; d < kDaysPerCase; ++d) {
+          (void)engine.run_day(home.source, home.prices, home.battery, policy);
+        }
       },
       suite_options(4));
   ASSERT_TRUE(result.success) << result.message;
@@ -140,9 +162,9 @@ TEST(PolicyInvariantsProptest, SteppingKeepsBatteryLegalAndAccountingExact) {
   const auto result = for_all(
       "stepping invariants", proptest::rlblh_config_domain(),
       [](const RlBlhConfig& config, Rng& rng) {
-        Simulator sim = make_checked_simulator(config, rng,
-                                               /*pulse_shaped=*/false,
-                                               /*expect_feasible=*/false);
+        RandomHousehold home = random_household(config, rng);
+        SimEngine engine = checked_engine(config, /*pulse_shaped=*/false,
+                                          /*expect_feasible=*/false);
         SteppingConfig st;
         st.intervals_per_day = config.intervals_per_day;
         st.usage_cap = config.usage_cap;
@@ -150,7 +172,9 @@ TEST(PolicyInvariantsProptest, SteppingKeepsBatteryLegalAndAccountingExact) {
         st.step = config.usage_cap * rng.uniform(0.05, 1.0);
         st.margin_fraction = rng.uniform(0.05, 0.45);
         SteppingPolicy policy(st);
-        for (int d = 0; d < kDaysPerCase; ++d) (void)sim.run_day(policy);
+        for (int d = 0; d < kDaysPerCase; ++d) {
+          (void)engine.run_day(home.source, home.prices, home.battery, policy);
+        }
       },
       suite_options(5));
   ASSERT_TRUE(result.success) << result.message;
@@ -178,17 +202,19 @@ TEST(PolicyInvariantsProptest, MdpBaselineSatisfiesAllInvariants) {
         mdp.usage_levels = 12;
         MdpBlhPolicy policy(mdp);
 
-        Simulator sim = make_checked_simulator(config, rng,
-                                               /*pulse_shaped=*/true,
-                                               /*expect_feasible=*/true);
+        RandomHousehold home = random_household(config, rng);
+        SimEngine engine = checked_engine(config, /*pulse_shaped=*/true,
+                                          /*expect_feasible=*/true);
         for (int d = 0; d < 2; ++d) {
           policy.observe_training_day(
               proptest::gen_usage_trace(config.intervals_per_day,
                                         config.usage_cap, rng),
-              sim.prices());
+              home.prices);
         }
         policy.solve();
-        for (int d = 0; d < 2; ++d) (void)sim.run_day(policy);
+        for (int d = 0; d < 2; ++d) {
+          (void)engine.run_day(home.source, home.prices, home.battery, policy);
+        }
       },
       suite_options(6));
   ASSERT_TRUE(result.success) << result.message;

@@ -1,9 +1,11 @@
-// Unit tests for SimEngine's push entry (begin_day / push_block /
-// finish_day): protocol errors, a bad value mid-span, the pulse-width
-// contract, one-interval streaming against the pulled run, the
-// passthrough policy and invariant checks. The exhaustive
-// pushed == pulled bitwise sweep lives in
-// tests/proptest/stream_diff_proptest.cc.
+// Unit tests for SimEngine. The pull entry (run_day / run_days): the
+// passthrough policy, battery levels and their persistence across days,
+// the savings identity, the shortfall, run_days' result and the price
+// length check. The push entry (begin_day / push_block / finish_day):
+// protocol errors, a bad value mid-span, the pulse-width contract,
+// one-interval streaming against the pulled run, the passthrough policy
+// and invariant checks. The exhaustive pushed == pulled bitwise sweep
+// lives in tests/proptest/stream_diff_proptest.cc.
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -57,6 +59,34 @@ class SingleDaySource final : public TraceSource {
  private:
   DayTrace day_;
 };
+
+/// Every day the same flat usage, with the paper's usage cap.
+class FixedTraceSource final : public TraceSource {
+ public:
+  FixedTraceSource(std::size_t intervals, double value)
+      : intervals_(intervals), value_(value) {}
+  DayTrace next_day() override {
+    return DayTrace(std::vector<double>(intervals_, value_));
+  }
+  std::size_t intervals() const override { return intervals_; }
+  double usage_cap() const override { return 0.08; }
+
+ private:
+  std::size_t intervals_;
+  double value_;
+};
+
+/// A 48-interval learner without replay, for the pull-entry cases.
+RlBlhConfig small_rl_config() {
+  RlBlhConfig config;
+  config.intervals_per_day = 48;
+  config.decision_interval = 4;
+  config.battery_capacity = 1.0;
+  config.num_actions = 4;
+  config.enable_reuse = false;
+  config.enable_synthetic = false;
+  return config;
+}
 
 /// A policy that breaks the pulse-width contract.
 class ZeroWidthPolicy final : public BlhPolicy {
@@ -251,6 +281,111 @@ TEST(SimEngineTest, InvariantChecksRunOnFinish) {
   engine.begin_day(prices, battery, policy);
   engine.push_block(day.values());
   EXPECT_NO_THROW(engine.finish_day());
+}
+
+TEST(SimEngineTest, RejectsPriceLengthMismatch) {
+  FixedTraceSource source(48, 0.02);
+  const TouSchedule prices = TouSchedule::flat(10, 1.0);
+  Battery battery(1.0, 0.5);
+  PassthroughPolicy policy;
+  SimEngine engine;
+  EXPECT_THROW(engine.run_day(source, prices, battery, policy), ConfigError);
+}
+
+TEST(SimEngineTest, PassthroughReportsUsageExactly) {
+  FixedTraceSource source(48, 0.02);
+  const TouSchedule prices = TouSchedule::flat(48, 1.0);
+  Battery battery(1.0, 0.5);
+  PassthroughPolicy policy;
+  SimEngine engine;
+  const DayResult day = engine.run_day(source, prices, battery, policy);
+  for (std::size_t n = 0; n < 48; ++n) {
+    ASSERT_DOUBLE_EQ(day.readings.at(n), day.usage.at(n));
+  }
+  EXPECT_DOUBLE_EQ(day.savings_cents, 0.0);
+  EXPECT_DOUBLE_EQ(day.bill_cents, day.usage_cost_cents);
+  // The battery is untouched in passthrough mode.
+  EXPECT_DOUBLE_EQ(battery.level(), 0.5);
+}
+
+TEST(SimEngineTest, RecordsBatteryLevelsAtIntervalStarts) {
+  FixedTraceSource source(48, 0.02);
+  const TouSchedule prices = TouSchedule::flat(48, 1.0);
+  Battery battery(1.0, 0.5);
+  RlBlhPolicy policy(small_rl_config());
+  SimEngine engine;
+  const DayResult day = engine.run_day(source, prices, battery, policy);
+  ASSERT_EQ(day.battery_levels.size(), 48u);
+  EXPECT_DOUBLE_EQ(day.battery_levels[0], 0.5);
+  // Recorded level must evolve per b_{n+1} = b_n + y_n - x_n.
+  for (std::size_t n = 1; n < 48; ++n) {
+    const double expected = day.battery_levels[n - 1] +
+                            day.readings.at(n - 1) - day.usage.at(n - 1);
+    ASSERT_NEAR(day.battery_levels[n], expected, 1e-12);
+  }
+}
+
+TEST(SimEngineTest, BatteryPersistsAcrossDays) {
+  FixedTraceSource source(48, 0.02);
+  const TouSchedule prices = TouSchedule::flat(48, 1.0);
+  Battery battery(1.0, 0.5);
+  RlBlhPolicy policy(small_rl_config());
+  SimEngine engine;
+  const DayResult d1 = engine.run_day(source, prices, battery, policy);
+  const double end_of_day1 = d1.battery_levels.back() +
+                             d1.readings.at(47) - d1.usage.at(47);
+  const DayResult d2 = engine.run_day(source, prices, battery, policy);
+  EXPECT_NEAR(d2.battery_levels.front(), end_of_day1, 1e-12);
+}
+
+TEST(SimEngineTest, SavingsIdentityHolds) {
+  // savings + bill == usage cost, by construction of the three sums.
+  FixedTraceSource source(48, 0.03);
+  const TouSchedule prices = TouSchedule::two_zone(48, 34, 7.0, 21.0);
+  Battery battery(1.0, 0.5);
+  RlBlhPolicy policy(small_rl_config());
+  SimEngine engine;
+  for (int d = 0; d < 5; ++d) {
+    const DayResult& day = engine.run_day(source, prices, battery, policy);
+    EXPECT_NEAR(day.savings_cents + day.bill_cents, day.usage_cost_cents,
+                1e-9);
+  }
+}
+
+TEST(SimEngineTest, ShortfallShowsUpInMeterReadings) {
+  // A policy that always requests zero drains the battery; once empty, the
+  // meter must report the grid draw that actually served the load.
+  class ZeroPolicy final : public BlhPolicy {
+   public:
+    void begin_day(const TouSchedule&) override {}
+    double reading(std::size_t, double) override { return 0.0; }
+    void observe_usage(std::size_t, double) override {}
+    std::string_view name() const override { return "zero"; }
+  };
+  FixedTraceSource source(48, 0.05);
+  const TouSchedule prices = TouSchedule::flat(48, 1.0);
+  Battery battery(1.0, 0.1);
+  ZeroPolicy policy;
+  SimEngine engine;
+  const DayResult& day = engine.run_day(source, prices, battery, policy);
+  EXPECT_GT(day.battery_violations, 0u);
+  // Total grid energy must equal total usage minus the 0.1 kWh that the
+  // battery supplied.
+  EXPECT_NEAR(day.readings.total(), day.usage.total() - 0.1, 1e-9);
+}
+
+TEST(SimEngineTest, RunDaysReturnsLastResult) {
+  FixedTraceSource source(48, 0.02);
+  const TouSchedule prices = TouSchedule::flat(48, 1.0);
+  Battery battery(1.0, 0.5);
+  RlBlhPolicy policy(small_rl_config());
+  SimEngine engine;
+  const DayResult& last =
+      engine.run_days(source, prices, battery, policy, 5);
+  EXPECT_EQ(policy.days_completed(), 5u);
+  EXPECT_EQ(last.usage.intervals(), 48u);
+  EXPECT_THROW(engine.run_days(source, prices, battery, policy, 0),
+               ConfigError);
 }
 
 }  // namespace

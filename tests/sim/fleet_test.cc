@@ -1,6 +1,7 @@
 // FleetSimulator's contracts: per-household RNG streams are reproducible
-// and collision-free, a 1-household fleet is the plain Simulator path, and
-// fleet results are bitwise identical across thread counts.
+// and collision-free, a 1-household fleet is the plain build_scenario +
+// run_scenario path, and fleet results are bitwise identical across thread
+// counts.
 #include "sim/fleet.h"
 
 #include <gtest/gtest.h>
@@ -290,8 +291,8 @@ TEST(FleetBlueprintCache, PinnedPolicySeedSurvivesBlueprinting) {
   EXPECT_FALSE(make_scenario_blueprint(free_seed).policy_seed_pinned);
 
   // With a pinned policy seed, the fleet's derived policy stream must not
-  // displace it: the run matches the plain path on the resolved spec, whose
-  // make_scenario_policy also keeps the dotted override.
+  // displace it: the run matches the plain path on the resolved spec, where
+  // the dotted override wins over the top-level seed as well.
   FleetSimulator fleet({pinned}, FleetOptions{/*threads=*/1});
   const FleetResult result = fleet.run(9);
   Scenario scenario =

@@ -8,11 +8,14 @@
 #include <cstring>
 #include <string>
 
+#include "baselines/mdp.h"
+#include "battery/battery.h"
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "pricing/tou.h"
+#include "sim/engine.h"
 #include "sim/experiment.h"
 #include "util/error.h"
 
@@ -100,24 +103,39 @@ TEST(ScenarioBuildTest, RegistryPathMatchesManualWiringBitwise) {
   Scenario scenario = build_scenario(spec);
   const EvaluationResult registry_result = run_scenario(scenario);
 
-  // The same run assembled by hand, the way call sites did before the
-  // registry existed.
+  // The same run wired by hand into the engine, without the registries or
+  // the scenario schedule.
   RlBlhConfig config;
   config.decision_interval = spec.nd;
   config.battery_capacity = spec.battery_kwh;
   config.seed = spec.seed;
   RlBlhPolicy policy(config);
-  Simulator simulator =
-      make_household_simulator(HouseholdConfig{}, TouSchedule::srp_plan(),
-                               spec.battery_kwh, spec.household_seed());
-  EvaluationConfig eval;
-  eval.train_days = spec.train_days;
-  eval.eval_days = spec.eval_days;
-  eval.mi_levels = spec.mi_levels;
-  const EvaluationResult manual_result =
-      evaluate_policy(simulator, policy, eval);
+  HouseholdTraceSource source(HouseholdConfig{}, spec.household_seed());
+  const TouSchedule prices = TouSchedule::srp_plan();
+  Battery battery(spec.battery_kwh, spec.battery_kwh / 2.0);
+  SimEngine engine;
+  engine.run_days(source, prices, battery, policy, spec.train_days);
+  EvaluationAccumulator accumulator(source.intervals(), spec.mi_levels,
+                                    source.usage_cap());
+  engine.run_days(source, prices, battery, policy, spec.eval_days,
+                  [&](std::size_t, const DayResult& day) {
+                    accumulator.observe_day(day, prices);
+                  });
 
-  expect_bitwise_equal(registry_result, manual_result);
+  expect_bitwise_equal(registry_result, accumulator.result());
+}
+
+TEST(ScenarioBuildTest, BuildsConsistentHousehold) {
+  const Scenario scenario =
+      build_scenario(ScenarioSpec::parse("policy=none;battery=5"));
+  EXPECT_EQ(scenario.prices.intervals(), kIntervalsPerDay);
+  EXPECT_EQ(scenario.source->intervals(), kIntervalsPerDay);
+  EXPECT_DOUBLE_EQ(scenario.battery.capacity(), 5.0);
+  EXPECT_DOUBLE_EQ(scenario.battery.level(), 2.5);  // starts half-charged
+  // A plan whose day does not match the household's fails at build time.
+  EXPECT_THROW(build_scenario(ScenarioSpec::parse(
+                   "policy=none;pricing=flat;pricing.intervals=48")),
+               ConfigError);
 }
 
 TEST(ScenarioBuildTest, RunSpecMatchesRunScenarioBitwise) {
@@ -150,6 +168,16 @@ TEST(ScenarioBuildTest, RunSpecRejectsMiLevelsBeforeAnyDayRuns) {
   EXPECT_EQ(obs::registry().counter("sim.days").value(), 0);
 #endif
   obs::registry().reset();
+
+  // The mdp baseline's offline pre-training bypasses the engine, so
+  // sim.days cannot see it: the policy must still be unsolved after the
+  // throw, on the run_spec path and on the scenario path alike.
+  const ScenarioSpec mdp = ScenarioSpec::parse("policy=mdp;mi=17;train=20");
+  EXPECT_THROW(run_spec(mdp, make_scenario_pricing(mdp)), ConfigError);
+  Scenario scenario = build_scenario(mdp);
+  EXPECT_THROW(run_scenario(scenario), ConfigError);
+  ASSERT_NE(scenario.policy_as<MdpBlhPolicy>(), nullptr);
+  EXPECT_FALSE(scenario.policy_as<MdpBlhPolicy>()->solved());
 }
 
 TEST(ScenarioBuildTest, MdpPretrainIsDeterministic) {

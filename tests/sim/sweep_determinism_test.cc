@@ -1,6 +1,6 @@
 // The sweep engine's central contract: parallel results are bitwise
 // identical to serial results. These tests run the same small grid of real
-// Simulator/policy cells serially, with 2 threads, and with more threads
+// scenario cells serially, with 2 threads, and with more threads
 // than cells, and compare every EvaluationResult field at the bit level.
 #include "sim/sweep.h"
 
@@ -51,18 +51,15 @@ void expect_bitwise_equal(const EvaluationResult& a,
 // entirely from the cell's (capacity, seed) coordinates — a pure function
 // of the grid index, as SweepRunner requires.
 EvaluationResult run_cell(double battery_capacity, unsigned seed) {
-  RlBlhConfig config;
-  config.decision_interval = 15;
-  config.battery_capacity = battery_capacity;
-  config.seed = seed;
-  RlBlhPolicy policy(config);
-  Simulator simulator = make_household_simulator(
-      HouseholdConfig{}, TouSchedule::srp_plan(), battery_capacity,
-      1000 + seed);
-  EvaluationConfig eval;
-  eval.train_days = 3;
-  eval.eval_days = 2;
-  return evaluate_policy(simulator, policy, eval);
+  ScenarioSpec spec;
+  spec.nd = 15;
+  spec.battery_kwh = battery_capacity;
+  spec.seed = seed;
+  spec.hseed = 1000 + seed;
+  spec.train_days = 3;
+  spec.eval_days = 2;
+  Scenario scenario = build_scenario(spec);
+  return run_scenario(scenario);
 }
 
 std::vector<EvaluationResult> sweep_with(std::size_t threads) {
@@ -187,22 +184,19 @@ TEST(SweepDeterminismTest, ObservabilityOnMatchesOffBitwise) {
 // a SYN round every second day. Returns the evaluation and the policy's
 // checkpoint, which holds the weights, the RNG stream and the usage stats.
 std::pair<EvaluationResult, std::string> run_replay_cell(unsigned seed) {
-  RlBlhConfig config;
-  config.decision_interval = 15;
-  config.reuse_repeats = 4;
-  config.synthetic_period = 2;
-  config.synthetic_repeats = 4;
-  config.seed = seed;
-  RlBlhPolicy policy(config);
-  Simulator simulator = make_household_simulator(
-      HouseholdConfig{}, TouSchedule::srp_plan(), config.battery_capacity,
-      2000 + seed);
-  EvaluationConfig eval;
-  eval.train_days = 4;
-  eval.eval_days = 1;
-  const EvaluationResult result = evaluate_policy(simulator, policy, eval);
+  ScenarioSpec spec;
+  spec.nd = 15;
+  spec.seed = seed;
+  spec.hseed = 2000 + seed;
+  spec.train_days = 4;
+  spec.eval_days = 1;
+  spec.policy_params.set("reuse_repeats", 4);
+  spec.policy_params.set("syn_period", 2);
+  spec.policy_params.set("syn_repeats", 4);
+  Scenario scenario = build_scenario(spec);
+  const EvaluationResult result = run_scenario(scenario);
   std::ostringstream checkpoint;
-  policy.save_state(checkpoint);
+  scenario.policy->save_state(checkpoint);
   return {result, checkpoint.str()};
 }
 
